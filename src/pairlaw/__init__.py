@@ -11,15 +11,13 @@ left/right settings, and seeded Monte Carlo verification of everything.
 
 __version__ = "0.1.0"
 
-from .dist_core import (AliasSampler, Distribution, ElemSymTable, RngSeed,
-                        canonical_sorted, discrete_sampler, elem_sym,
-                        elem_sym_leave_one_out, sample_sorted_simplex,
-                        validate)
+from .dist_core import (AliasSampler, Distribution, RngSeed, canonical_sorted,
+                        discrete_sampler, sample_sorted_simplex, validate)
 from .errors import (BadSum, DomainError, Empty, ExcessTruncation,
-                     IndexMismatch, IndexOutOfRange, InputError, InvalidPair,
-                     NegativeEntry, NoSignChange, NonPositiveC,
-                     NonPositiveParameter, NTooSmall, PairLawError,
-                     ToleranceNotMet, TooManyColors, UnimodalityError)
+                     IndexMismatch, InputError, InvalidPair, NegativeEntry,
+                     NoSignChange, NonPositiveC, NonPositiveParameter,
+                     NTooSmall, PairLawError, ToleranceNotMet, TooManyColors,
+                     UnimodalityError)
 from .family_opt import (THREE_COLOR_ARGMAX, THREE_COLOR_DOUBLED_MAX,
                          TWO_COLOR_STATIONARY, FamilyCurveRow, FamilyPoint,
                          OptResult, PolySpec, exact_two_color_extreme,
@@ -39,9 +37,8 @@ from .shoes import (AbsorptionState, ShoePair, TrendRow, ValueWithError,
 __all__ = [
     "__version__",
     # validated vectors and sampling
-    "Distribution", "ElemSymTable", "RngSeed", "AliasSampler", "validate",
-    "canonical_sorted", "elem_sym", "elem_sym_leave_one_out",
-    "sample_sorted_simplex", "discrete_sampler",
+    "Distribution", "RngSeed", "AliasSampler", "validate",
+    "canonical_sorted", "sample_sorted_simplex", "discrete_sampler",
     # the two laws and their discrepancy
     "PairLaw", "DrawStats", "SimReport", "match_probability", "derive_m1",
     "derive_m2", "m2_oracle_exact", "m2_simulate", "tvd", "discrepancy",
@@ -61,7 +58,7 @@ __all__ = [
     "sup_one_demo",
     # errors
     "PairLawError", "InputError", "NegativeEntry", "BadSum", "Empty",
-    "IndexOutOfRange", "TooManyColors", "IndexMismatch", "DomainError",
+    "TooManyColors", "IndexMismatch", "DomainError",
     "NoSignChange", "NonPositiveC", "NonPositiveParameter", "InvalidPair",
     "NTooSmall", "ToleranceNotMet", "ExcessTruncation", "UnimodalityError",
 ]

@@ -11,6 +11,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
+from .errors import InputError
+
 T = TypeVar("T")
 
 THREADS_ENV = "PAIRLAW_THREADS"
@@ -22,10 +24,20 @@ def effective_threads(threads: int | None) -> int:
     if threads is None:
         env = os.environ.get(THREADS_ENV, "").strip()
         if env:
-            threads = int(env)
+            try:
+                threads = int(env)
+            except ValueError as exc:
+                raise InputError(f"{THREADS_ENV}={env!r} is not an integer") from exc
         else:
             threads = os.cpu_count() or 1
     return max(1, threads)
+
+
+def _blocks(total: int, chunk: int) -> list[tuple[int, int]]:
+    """(block index, item count) pairs covering total items in chunk-sized
+    blocks, the last one short; the plan depends on nothing else."""
+    return [(block, min(chunk, total - start))
+            for block, start in enumerate(range(0, total, chunk))]
 
 
 def map_ordered(fn: Callable[..., T], args_list: Sequence[tuple], threads: int | None) -> list[T]:

@@ -4,7 +4,8 @@ Subcommands mirror the library: derive, family, limit, search, shoes.
 Every invocation prints one table, either as CSV (12 significant digits,
 human-facing) or as a single JSON envelope (repr-exact reals, lossless);
 diagnostics go to the error stream.  Exit codes: 0 success, 2 input
-validation, 3 numerical tolerance, 4 simulation truncation.
+validation, 3 numerical tolerance or a competing maximum, 4 simulation
+truncation.
 """
 
 from __future__ import annotations
@@ -17,13 +18,19 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .dist_core import Distribution, RngSeed, validate
-from .errors import ExcessTruncation, InputError, ToleranceNotMet
+from .errors import (ExcessTruncation, InputError, ToleranceNotMet,
+                     UnimodalityError)
 from .family_opt import family_argmax, figure_family_curves, simplex_search
 from .limit_laws import (DEFAULT_TOL, ell, ell_argmax, ell_shoes,
                          ell_shoes_diag_argmax)
-from .pair_laws import derive_m1, derive_m2, discrepancy, tvd
+from .pair_laws import derive_m1, derive_m2, tvd
 from .shoes import (SHOES_EXACT_MAX_COLORS, ShoePair, shoes_m1,
                     shoes_m2_exact, shoes_m2_simulate, sup_one_demo)
+
+
+#: Process exit code of each family of deliberate library errors.
+EXIT_CODES = {InputError: 2, ToleranceNotMet: 3, UnimodalityError: 3,
+              ExcessTruncation: 4}
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,11 @@ def _parse_dist(inline: str | None, path: str | None) -> Distribution:
         raise InputError("give exactly one of an inline list or a file")
     if inline is not None:
         return validate(_parse_inline(inline))
-    with open(path, encoding="utf-8") as fh:
-        values = [line.strip() for line in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            values = [line.strip() for line in fh]
+    except OSError as exc:
+        raise InputError(f"cannot read {path!r}: {exc.strerror}") from exc
     try:
         return validate(float(v) for v in values if v != "")
     except ValueError as exc:
@@ -104,13 +114,15 @@ def _parse_int_list(text: str) -> list[int]:
 def cmd_derive(args: argparse.Namespace) -> OutputEnvelope:
     d = _parse_dist(args.dist, args.dist_file)
     columns = ["quantity", "color", "value"]
-    rows: list[list] = []
+    laws = []
     if args.method in ("m1", "both"):
-        rows += [["m1", i, v] for i, v in enumerate(derive_m1(d).probs)]
+        laws.append(derive_m1(d))
     if args.method in ("m2", "both"):
-        rows += [["m2", i, v] for i, v in enumerate(derive_m2(d).probs)]
-    if args.method == "both":
-        rows.append(["discrepancy", None, discrepancy(d)])
+        laws.append(derive_m2(d))
+    rows: list[list] = [[law.method, i, v]
+                        for law in laws for i, v in enumerate(law.probs)]
+    if len(laws) == 2:
+        rows.append(["discrepancy", None, tvd(*laws)])
     return _envelope("derive", {"dist": list(d.probs), "method": args.method},
                      columns, rows)
 
@@ -129,6 +141,14 @@ def cmd_family(args: argparse.Namespace) -> OutputEnvelope:
     return _envelope("family", params, columns, rows)
 
 
+def _ticks(args) -> list[float]:
+    """The evenly spaced curve or grid points from --lo to --hi."""
+    if args.points < 2:
+        raise InputError(f"--points must be at least 2, got {args.points}")
+    return [args.lo + (args.hi - args.lo) * i / (args.points - 1)
+            for i in range(args.points)]
+
+
 def _limit_socks(args) -> tuple[dict, list, list]:
     if args.argmax:
         opt = ell_argmax(args.tol)
@@ -139,10 +159,7 @@ def _limit_socks(args) -> tuple[dict, list, list]:
         return {"mode": "point", "c": args.c}, \
             ["c", "value", "abs_error_estimate", "subdivisions"], \
             [[args.c, r.value, r.abs_error_estimate, r.subdivisions]]
-    rows = []
-    for i in range(args.points):
-        c = args.lo + (args.hi - args.lo) * i / (args.points - 1)
-        rows.append([c, ell(c, args.tol).value])
+    rows = [[c, ell(c, args.tol).value] for c in _ticks(args)]
     return {"mode": "curve", "lo": args.lo, "hi": args.hi,
             "points": args.points}, ["c", "value"], rows
 
@@ -157,10 +174,7 @@ def _limit_shoes_diag(args) -> tuple[dict, list, list]:
         return {"mode": "point", "a": args.a}, \
             ["a", "value", "abs_error_estimate", "subdivisions"], \
             [[args.a, r.value, r.abs_error_estimate, r.subdivisions]]
-    rows = []
-    for i in range(args.points):
-        a = args.lo + (args.hi - args.lo) * i / (args.points - 1)
-        rows.append([a, ell_shoes(a, a, args.tol).value])
+    rows = [[a, ell_shoes(a, a, args.tol).value] for a in _ticks(args)]
     return {"mode": "curve", "lo": args.lo, "hi": args.hi,
             "points": args.points}, ["a", "value"], rows
 
@@ -171,8 +185,7 @@ def _limit_shoes_grid(args) -> tuple[dict, list, list]:
         return {"mode": "point", "a": args.a, "b": args.b}, \
             ["a", "b", "value", "abs_error_estimate", "subdivisions"], \
             [[args.a, args.b, r.value, r.abs_error_estimate, r.subdivisions]]
-    ticks = [args.lo + (args.hi - args.lo) * i / (args.points - 1)
-             for i in range(args.points)]
+    ticks = _ticks(args)
     rows = [[a, b, ell_shoes(a, b, args.tol).value]
             for a in ticks for b in ticks]
     return {"mode": "grid", "lo": args.lo, "hi": args.hi,
@@ -342,15 +355,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _MAIN_PARSER.parse_args(argv)
     try:
         envelope = args.handler(args)
-    except InputError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except ToleranceNotMet as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except ExcessTruncation as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in EXIT_CODES.items()
+                    if isinstance(exc, kind))
     sys.stdout.write(render(envelope, args.format))
     return 0
 

@@ -2,12 +2,9 @@
 leans on.
 
 A Distribution is an immutable, validated vector of color probabilities.
-Elementary symmetric polynomials of such a vector, and their leave-one-out
-variants, carry all the combinatorial weight of the sequential-draw law:
-k! * e_k is the probability that the first k one-at-a-time draws show k
-distinct colors.  The module also provides uniform sampling from the
-sorted probability simplex and a constant-time discrete sampler, both
-fully determined by an explicit 64-bit seed.
+The module also provides uniform sampling from the sorted probability
+simplex and a constant-time discrete sampler, both fully determined by an
+explicit 64-bit seed.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BadSum, DomainError, Empty, IndexOutOfRange, NegativeEntry
+from .errors import BadSum, DomainError, Empty, NegativeEntry
 
 #: Absolute tolerance for "entries sum to one".  Tight enough to catch real
 #: normalization bugs, loose enough for honest round-off in long sums.
@@ -105,69 +102,6 @@ def canonical_sorted(d: Distribution) -> Distribution:
     canonical representative of d's equivalence class.
     """
     return Distribution(tuple(sorted(d.probs, reverse=True)))
-
-
-@dataclass(frozen=True)
-class ElemSymTable:
-    """Values e_0 .. e_k of the elementary symmetric polynomials of a vector.
-
-    e_k is the sum over k-subsets of distinct entries of their product.  For
-    a probability vector, k! * e_k is the probability that k one-at-a-time
-    draws show k distinct colors, so e_0 = 1 and k! * e_k <= 1 throughout.
-    """
-
-    values: tuple[float, ...]
-    source_len: int
-
-
-def elem_sym(d: Distribution) -> ElemSymTable:
-    """All elementary symmetric values of d.
-
-    Entries are folded in one at a time with k descending, so each e_k
-    accumulates p * e_{k-1} exactly once per entry; O(m^2) total work and
-    every intermediate is a partial e_k of a sub-vector, hence in [0, 1].
-    """
-    m = len(d)
-    e = [0.0] * (m + 1)
-    e[0] = 1.0
-    for seen, p in enumerate(d.probs):
-        for k in range(min(seen + 1, m), 0, -1):
-            e[k] += p * e[k - 1]
-    return ElemSymTable(tuple(e), m)
-
-
-def elem_sym_leave_one_out(d: Distribution, i: int) -> ElemSymTable:
-    """Elementary symmetric values of d with entry i removed, in O(m).
-
-    Downdates the full table through e'_k = e_k - p_i * e'_{k-1}.  The
-    forward recurrence loses relative precision once the subtracted term
-    dominates e_k, so past the first k where p_i * e'_{k-1} > e_k / 2 the
-    same identity is run backward, e'_{k-1} = (e_k - e'_k) / p_i, seeded
-    from e'_{m-1} = e_m / p_i.  The crossover ratio is monotone in k
-    (Newton's inequalities make the table log-concave), so each direction
-    is used exactly where it is contractive.
-    """
-    m = len(d)
-    if not 0 <= i < m:
-        raise IndexOutOfRange(f"color index {i} outside 0..{m - 1}")
-    pi = d.probs[i]
-    e = elem_sym(d).values
-    out = [0.0] * m
-    out[0] = 1.0
-    switch = m
-    for k in range(1, m):
-        t = pi * out[k - 1]
-        if t > 0.5 * e[k]:
-            switch = k
-            break
-        out[k] = e[k] - t
-    if switch < m:
-        # switch < m forces pi > 0: a zero entry never trips the crossover.
-        back = e[m] / pi
-        for k in range(m - 1, switch - 1, -1):
-            out[k] = back
-            back = (e[k] - back) / pi
-    return ElemSymTable(tuple(out), m - 1)
 
 
 def sample_sorted_simplex(m: int, seed: RngSeed) -> Distribution:

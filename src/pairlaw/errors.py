@@ -1,9 +1,9 @@
 """Exception taxonomy for the library.
 
 Everything raised on purpose derives from PairLawError.  The command line
-front end maps the three leaf groups onto distinct process exit codes:
-input validation problems (exit 2), numerical tolerance failures (exit 3),
-and simulation truncation overflow (exit 4).
+front end maps the leaf groups onto process exit codes: input validation
+problems (exit 2), numerical tolerance failures and competing maxima
+(exit 3), and simulation truncation overflow (exit 4).
 """
 
 
@@ -27,10 +27,6 @@ class Empty(InputError):
     """A distribution needs at least one entry."""
 
 
-class IndexOutOfRange(InputError):
-    """Color index outside the distribution's support range."""
-
-
 class TooManyColors(InputError):
     """Input exceeds the state-space cap of an exhaustive solve."""
 
@@ -48,11 +44,11 @@ class NoSignChange(InputError):
 
 
 class NonPositiveC(InputError):
-    """The limit-curve parameter c must be positive."""
+    """The limit-curve parameter c must be positive and finite."""
 
 
 class NonPositiveParameter(InputError):
-    """Both limit-surface parameters must be positive."""
+    """Both limit-surface parameters must be positive and finite."""
 
 
 class InvalidPair(InputError):
@@ -72,4 +68,5 @@ class ExcessTruncation(PairLawError):
 
 
 class UnimodalityError(PairLawError):
-    """Grid pre-scan found a competing mode where one maximum was assumed."""
+    """Grid pre-scan found a competing mode where one maximum was assumed;
+    maps to exit code 3."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import maximize_scalar
-from ._parallel import map_ordered
+from ._parallel import _blocks, map_ordered
 from .dist_core import Distribution, RngSeed, _sorted_simplex_rows
 from .errors import DomainError, NoSignChange
 from .pair_laws import SIM_CHUNK, _discrepancy_rows, tvd
@@ -213,13 +213,7 @@ def simplex_search(m: int, points: int, seed: RngSeed, *,
         j = int(np.argmax(values))
         return float(values[j]), tuple(rows[j].tolist())
 
-    chunk = _search_chunk(m)
-    blocks = []
-    done = 0
-    while done < points:
-        count = min(chunk, points - done)
-        blocks.append((len(blocks), count))
-        done += count
+    blocks = _blocks(points, _search_chunk(m))
     value, probs = max(map_ordered(score, blocks, threads))
     best = Distribution(probs)
     family_gap = tvd(best, FamilyPoint(m - 1, probs[0]).realize())

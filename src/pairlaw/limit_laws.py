@@ -130,8 +130,8 @@ def ell(c: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     max(12, 12 / c) that factor alone is below 1e-31, so the tail is cut
     there.
     """
-    if c <= 0.0:
-        raise NonPositiveC(f"c must be positive, got {c!r}")
+    if not 0.0 < c < math.inf:
+        raise NonPositiveC(f"c must be positive and finite, got {c!r}")
     _check_tol(tol)
     cc = c * c
 
@@ -163,8 +163,9 @@ def ell_shoes(a: float, b: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     Symmetric in (a, b) by construction: the integrand is literally
     unchanged under swapping them, so no symmetrization step is needed.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise NonPositiveParameter(f"parameters must be positive, got {a!r}, {b!r}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise NonPositiveParameter(
+            f"parameters must be positive and finite, got {a!r}, {b!r}")
     _check_tol(tol)
 
     def integrand(t: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._parallel import map_ordered
+from ._parallel import _blocks, map_ordered
 from .dist_core import Distribution, _alias_draw, _alias_tables
 from .errors import DomainError, IndexMismatch, ToleranceNotMet, TooManyColors
 
@@ -109,25 +109,27 @@ def derive_m1(d: Distribution) -> PairLaw:
     return PairLaw(M1, tuple(p * p / f2 for p in d.probs))
 
 
-def _scaled_elem_sym(probs: Sequence[float]) -> list[float]:
-    """E_k = k! * e_k for the whole vector.
+def _scaled_elem_sym(Q: np.ndarray) -> np.ndarray:
+    """E_k = k! * e_k of every column of a colors x rows block.
 
     E_k is the probability that the first k one-at-a-time draws are all
     distinct; working in this scaling keeps every table entry in [0, 1],
     so neither k! overflow nor e_k underflow can occur even for thousands
-    of colors.  The descending-k update absorbs one entry per pass.
+    of colors.  Each pass absorbs one color into every column at once;
+    the right-hand side reads the table before the pass, as a
+    descending-k update would.
     """
-    m = len(probs)
-    E = [0.0] * (m + 1)
+    m = Q.shape[0]
+    E = np.zeros((m + 1, Q.shape[1]))
     E[0] = 1.0
-    for seen, p in enumerate(probs):
-        for k in range(min(seen + 1, m), 0, -1):
-            E[k] += k * p * E[k - 1]
+    k = np.arange(1.0, m + 1.0)[:, None]
+    for j in range(m):
+        E[1:j + 2] += k[:j + 1] * Q[j] * E[:j + 1]
     return E
 
 
-def derive_m2(d: Distribution) -> PairLaw:
-    """Law of the first color completed under one-at-a-time draws.
+def _m2_rows(P: np.ndarray) -> np.ndarray:
+    """The one-at-a-time law of each row of a matrix of distributions.
 
     P(Y = i) = p_i^2 * sum_k (k+1)! e_k(p with entry i removed): the k-th
     summand is the chance the first k draws are distinct, avoid color i,
@@ -142,33 +144,56 @@ def derive_m2(d: Distribution) -> PairLaw:
     the two regimes are contiguous and each recurrence runs only where it
     is a contraction; the backward sweep even self-corrects when E_m has
     underflowed to zero.
+
+    Every (color, row) entry runs its own switch in one colors x rows
+    block, so the loops are over k alone, and no arithmetic mixes two
+    entries: a row's law does not depend on the rows beside it.  A
+    switched entry's forward value is pinned to zero, which also keeps
+    it from switching again; zero-mass colors never switch and come out
+    exactly zero.
     """
-    m = len(d)
-    E = _scaled_elem_sym(d.probs)
-    out = []
-    for i, pi in enumerate(d.probs):
-        if pi == 0.0:
-            out.append(0.0)
-            continue
-        A = [0.0] * m
-        A[0] = 1.0
-        switch = m
-        for k in range(1, m):
-            t = k * pi * A[k - 1]
-            if t > 0.5 * E[k]:
-                switch = k
+    m = P.shape[1]
+    Q = np.ascontiguousarray(P.T)
+    E = _scaled_elem_sym(Q)
+    A = np.ones_like(Q)
+    weight = np.ones_like(Q)  # the k = 0 summand, (0 + 1) * A_0
+    t = np.empty_like(Q)
+    switch = np.full(Q.shape, m)
+    live = np.ones(Q.shape, dtype=bool)
+    for k in range(1, m):
+        np.multiply(k, Q, out=t)
+        t *= A
+        fresh = t > 0.5 * E[k]
+        if fresh.any():
+            switch[fresh] = k
+            live[fresh] = False
+            A[fresh] = 0.0
+            if not live.any():
                 break
-            A[k] = E[k] - t
-        if switch < m:
-            back = E[m] / (m * pi)
-            for k in range(m - 1, switch - 1, -1):
-                A[k] = back
-                back = (E[k] - back) / (k * pi)
-        weight = 0.0
-        for k in range(m - 1, -1, -1):
-            weight += (k + 1) * A[k]
-        out.append(pi * pi * weight)
-    return PairLaw(M2, tuple(out))
+        np.subtract(E[k], t, out=A, where=live)
+        np.multiply(k + 1, A, out=t)
+        weight += t
+    lowest = int(switch.min())
+    if lowest < m:
+        back = A  # the forward values are spent; reuse their buffer
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.multiply(m, Q, out=t)
+            np.divide(E[m], t, out=back)
+            for k in range(m - 1, lowest - 1, -1):
+                np.multiply(k + 1, back, out=t)
+                np.add(weight, t, out=weight, where=switch <= k)
+                np.subtract(E[k], back, out=back)
+                np.multiply(k, Q, out=t)
+                back /= t
+    np.multiply(Q, Q, out=t)
+    weight *= t
+    return weight.T
+
+
+def derive_m2(d: Distribution) -> PairLaw:
+    """Law of the first color completed under one-at-a-time draws: the
+    one-row case of _m2_rows."""
+    return PairLaw(M2, tuple(_m2_rows(d.as_array()[None, :])[0].tolist()))
 
 
 def m2_oracle_exact(d: Distribution) -> PairLaw:
@@ -240,13 +265,7 @@ def m2_simulate(d: Distribution, trials: int, seed, *, threads: int | None = Non
     def run(block: int, count: int) -> np.ndarray:
         return _simulate_chunk(accept, alias, m, seed.stream(block).generator(), count)
 
-    chunk = _chunk_rows(m)
-    blocks = []
-    done = 0
-    while done < trials:
-        count = min(chunk, trials - done)
-        blocks.append((len(blocks), count))
-        done += count
+    blocks = _blocks(trials, _chunk_rows(m))
     counts = sum(map_ordered(run, blocks, threads))
     return _report_from_counts(counts, seed.seed, truncated=0)
 
@@ -309,53 +328,14 @@ def draw_stats(d: Distribution) -> DrawStats:
     at most m + 1.  Two-at-a-time: rounds are geometric with success f_2.
     """
     return DrawStats(
-        expected_draws_m2=math.fsum(_scaled_elem_sym(d.probs)),
+        expected_draws_m2=math.fsum(_scaled_elem_sym(d.as_array()[:, None])[:, 0]),
         expected_pairs_m1=1.0 / match_probability(d),
     )
 
 
-def _m2_rows(P: np.ndarray) -> np.ndarray:
-    """derive_m2 applied to each row of a matrix of distributions.
-
-    Vectorized mirror of the scalar hybrid: the forward/backward switch
-    index is tracked per row, and backward values overwrite the forward
-    placeholders wherever a row has switched.  Zero entries short out to
-    zero law entries exactly as in the scalar path.
-    """
-    N, m = P.shape
-    E = np.zeros((N, m + 1))
-    E[:, 0] = 1.0
-    for j in range(m):
-        v = P[:, j]
-        for k in range(min(j + 1, m), 0, -1):
-            E[:, k] += k * v * E[:, k - 1]
-    out = np.empty_like(P)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(m):
-            pi = P[:, i]
-            safe = np.where(pi > 0.0, pi, 1.0)
-            A = np.zeros((N, m))
-            A[:, 0] = 1.0
-            switch = np.full(N, m)
-            for k in range(1, m):
-                t = k * pi * A[:, k - 1]
-                fresh = (switch == m) & (t > 0.5 * E[:, k])
-                switch[fresh] = k
-                A[:, k] = np.where(switch <= k, 0.0, E[:, k] - t)
-            back = E[:, m] / (m * safe)
-            for k in range(m - 1, 0, -1):
-                taken = switch <= k
-                A[:, k] = np.where(taken, back, A[:, k])
-                back = (E[:, k] - A[:, k]) / (k * safe)
-            weight = np.zeros(N)
-            for k in range(m - 1, -1, -1):
-                weight += (k + 1) * A[:, k]
-            out[:, i] = pi * pi * weight
-    return out
-
-
 def _discrepancy_rows(P: np.ndarray) -> np.ndarray:
     """Discrepancy of each row; vectorized mirror of discrepancy()."""
-    p2 = P * P
-    m1 = p2 / p2.sum(axis=1, keepdims=True)
-    return 0.5 * np.abs(m1 - _m2_rows(P)).sum(axis=1)
+    gap = P * P
+    gap /= gap.sum(axis=1, keepdims=True)
+    gap -= _m2_rows(P)
+    return 0.5 * np.abs(gap, out=gap).sum(axis=1)

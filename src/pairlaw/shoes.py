@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._parallel import map_ordered
+from ._parallel import _blocks, map_ordered
 from .dist_core import Distribution, RngSeed, _alias_draw, _alias_tables
 from .errors import (DomainError, ExcessTruncation, IndexMismatch, InvalidPair,
                      NTooSmall, TooManyColors)
@@ -219,13 +219,7 @@ def shoes_m2_simulate(sp: ShoePair, trials: int, seed: RngSeed,
         return _simulate_chunk(tables, m, seed.stream(block).generator(),
                                count, max_steps)
 
-    chunk = _chunk_rows(m)
-    blocks = []
-    done = 0
-    while done < trials:
-        count = min(chunk, trials - done)
-        blocks.append((len(blocks), count))
-        done += count
+    blocks = _blocks(trials, _chunk_rows(m))
     counts = np.zeros(m, dtype=np.int64)
     truncated = 0
     for chunk_counts, chunk_trunc in map_ordered(run, blocks, threads):

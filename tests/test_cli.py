@@ -1,12 +1,16 @@
 """Command line: envelope shape, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import pairlaw
 import pairlaw.cli as cli
-from pairlaw import ToleranceNotMet, ell, ell_shoes
+import pairlaw.pair_laws as pair_laws
+from pairlaw import ToleranceNotMet, UnimodalityError, ell, ell_shoes
 
 
 def run(capsys, *argv):
@@ -52,6 +56,71 @@ def test_derive_input_errors_exit_2(capsys):
     assert code == 2 and "InputError" in err
     code, _, err = run(capsys, "derive", "--dist", "0.5,-0.5,1.0")
     assert code == 2 and "NegativeEntry" in err
+
+
+def test_derive_derives_each_law_once(capsys, monkeypatch):
+    original = pair_laws.derive_m2
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(pair_laws, "derive_m2", counted)
+    monkeypatch.setattr(cli, "derive_m2", counted)
+    code, out, _ = run(capsys, "derive", "--dist", "0.5,0.3,0.2")
+    assert code == 0 and "\ndiscrepancy,," in out
+    assert len(calls) == 1
+
+
+#: Runs each (argv, environment) case through cli.main and prints one JSON
+#: line [argv, exit code, stdout] per case.  The address-space cap turns a
+#: runaway allocation into a MemoryError instead of a drain on the host.
+_BAD_INPUT_CHILD = """
+import contextlib, io, json, os, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import pairlaw.cli as cli
+for argv, env in json.loads(sys.argv[1]):
+    os.environ.update(env)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    for name in env:
+        del os.environ[name]
+    print(json.dumps([argv, code, out.getvalue()]), flush=True)
+"""
+
+
+def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
+    # each of these once ended in a traceback or never returned; one
+    # child runs them all, so a hang fails here at the timeout
+    missing = str(tmp_path / "missing.txt")
+    cases = [
+        (["limit", "--kind", "socks", "--points", "1"], {}),
+        (["limit", "--kind", "socks", "--points", "0"], {}),
+        (["limit", "--kind", "shoes-diag", "--points", "-3"], {}),
+        (["limit", "--kind", "shoes-grid", "--points", "1"], {}),
+        (["derive", "--dist-file", missing], {}),
+        (["shoes", "derive", "--left-file", missing, "--right", "1"], {}),
+        (["shoes", "derive", "--left", "1", "--right-file", missing], {}),
+        (["search", "--m", "3", "--points", "10"], {"PAIRLAW_THREADS": "abc"}),
+        (["limit", "--kind", "socks", "--c", "nan"], {}),
+        (["limit", "--kind", "socks", "--c", "inf"], {}),
+        (["limit", "--kind", "socks", "--lo", "nan", "--points", "2"], {}),
+        (["limit", "--kind", "shoes-diag", "--a", "inf"], {}),
+        (["limit", "--kind", "shoes-diag", "--hi", "inf", "--points", "2"], {}),
+        (["limit", "--kind", "shoes-grid", "--a", "inf", "--b", "1"], {}),
+        (["limit", "--kind", "shoes-grid", "--a", "1", "--b", "nan"], {}),
+    ]
+    src = os.path.dirname(os.path.dirname(pairlaw.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _BAD_INPUT_CHILD, json.dumps(cases)],
+        capture_output=True, text=True, timeout=60, env=env)
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(cases), proc.stderr
+    for argv, code, out in results:
+        assert (code, out) == (2, ""), argv
 
 
 def test_json_envelope_and_csv_agree_byte_for_byte(capsys):
@@ -242,6 +311,14 @@ def test_tolerance_failure_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "limit", "--kind", "socks", "--c", "1.0")
     assert code == 3 and out == ""
     assert "ToleranceNotMet" in err
+
+    def two_modes(*args, **kwargs):
+        raise UnimodalityError("competing mode near argument 2.0")
+
+    monkeypatch.setattr(cli, "ell_argmax", two_modes)
+    code, out, err = run(capsys, "limit", "--kind", "socks", "--argmax")
+    assert code == 3 and out == ""
+    assert "UnimodalityError" in err
 
 
 def test_version_flag(capsys):

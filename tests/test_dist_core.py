@@ -1,4 +1,9 @@
-"""Validated vectors, symmetric-function tables, and seeded sampling."""
+"""Validated vectors, symmetric-function tables, and seeded sampling.
+
+The symmetric-function tables and the leave-one-out downdate live inside
+the m2 kernel of pair_laws; they are checked here through _scaled_elem_sym
+and through derive_m2 entries against a subtraction-free fold.
+"""
 
 import math
 
@@ -6,9 +11,9 @@ import numpy as np
 import pytest
 
 from pairlaw import (AliasSampler, BadSum, Distribution, DomainError, Empty,
-                     IndexOutOfRange, NegativeEntry, RngSeed, canonical_sorted,
-                     discrete_sampler, elem_sym, elem_sym_leave_one_out,
-                     sample_sorted_simplex, validate)
+                     NegativeEntry, RngSeed, canonical_sorted, derive_m2,
+                     discrete_sampler, sample_sorted_simplex, validate)
+from pairlaw.pair_laws import _scaled_elem_sym
 
 
 def test_validate_accepts_the_basic_examples():
@@ -64,92 +69,102 @@ def test_canonical_sorted_idempotent_and_permutation_invariant():
         assert canonical_sorted(validate(shuffled)) == s
 
 
+def _column(values):
+    return np.asarray(values, dtype=float)[:, None]
+
+
 def test_elem_sym_two_colors():
-    t = elem_sym(validate([0.75, 0.25]))
-    assert t.values == (1.0, 1.0, 0.1875)
-    assert t.source_len == 2
+    E = _scaled_elem_sym(_column([0.75, 0.25]))
+    assert E.shape == (3, 1)
+    assert E[:, 0].tolist() == [1.0, 1.0, 0.375]
 
 
 def test_elem_sym_three_colors():
-    t = elem_sym(validate([0.5, 0.3, 0.2]))
-    assert t.values[0] == 1.0
-    assert abs(t.values[1] - 1.0) < 1e-15
-    assert abs(t.values[2] - 0.31) < 1e-15
-    assert abs(t.values[3] - 0.03) < 1e-15
+    E = _scaled_elem_sym(_column([0.5, 0.3, 0.2]))[:, 0]
+    assert E[0] == 1.0
+    assert abs(E[1] - 1.0) < 1e-15
+    assert abs(E[2] - 2 * 0.31) < 1e-15
+    assert abs(E[3] - 6 * 0.03) < 1e-15
 
 
 def test_elem_sym_uniform_four_is_binomial():
-    t = elem_sym(validate([0.25] * 4))
+    E = _scaled_elem_sym(_column([0.25] * 4))[:, 0]
     for k in range(5):
-        assert abs(t.values[k] - math.comb(4, k) / 4 ** k) < 1e-15
+        want = math.factorial(k) * math.comb(4, k) / 4 ** k
+        assert abs(E[k] - want) < 1e-15
+
+
+def _scalar_scaled_elem_sym(values):
+    # the one-entry-at-a-time, descending-k loop the block update replaces
+    E = [1.0] + [0.0] * len(values)
+    for seen, p in enumerate(values):
+        for k in range(seen + 1, 0, -1):
+            E[k] += k * p * E[k - 1]
+    return E
 
 
 def test_elem_sym_invariants_on_fuzz():
+    # E_k = k! e_k, one column per source of a colors x sources block
     rng = np.random.default_rng(21)
     for _ in range(100):
         m = int(rng.integers(1, 40))
-        d = validate(rng.dirichlet(np.ones(m)).tolist())
-        t = elem_sym(d)
-        assert t.values[0] == 1.0
-        assert all(v >= 0.0 for v in t.values)
-        assert abs(t.values[1] - math.fsum(d.probs)) < 1e-12
-        # Maclaurin-type bound e_k <= e_1^k / k!
-        for k, v in enumerate(t.values):
-            assert v <= (t.values[1] ** k) / math.factorial(k) * (1 + 1e-9)
-        # k! e_k is a probability; their sum counts expected distinct draws
-        scaled = [math.factorial(k) * v for k, v in enumerate(t.values)]
-        assert all(s <= 1 + 1e-12 for s in scaled)
-        assert math.fsum(scaled) >= 1.0
+        block = rng.dirichlet(np.ones(m), size=3).T
+        E = _scaled_elem_sym(block)
+        assert E.shape == (m + 1, 3)
+        for col, probs in zip(E.T, block.T):
+            # same arithmetic in the same order: bit for bit
+            assert col.tolist() == _scalar_scaled_elem_sym(probs.tolist())
+            assert col[0] == 1.0
+            assert all(v >= 0.0 for v in col)
+            assert abs(col[1] - math.fsum(probs)) < 1e-12
+            # Maclaurin-type bound e_k <= e_1^k / k!
+            for k, v in enumerate(col):
+                assert v <= col[1] ** k * (1 + 1e-9)
+            # k! e_k is a probability; their sum counts expected distinct draws
+            assert all(v <= 1 + 1e-12 for v in col)
+            assert math.fsum(col) >= 1.0
 
 
 def test_leave_one_out_examples():
-    t = elem_sym_leave_one_out(validate([0.75, 0.25]), 0)
-    assert t.values == (1.0, 0.25)
-    assert t.source_len == 1
-    t = elem_sym_leave_one_out(validate([0.5, 0.3, 0.2]), 1)
-    assert abs(t.values[1] - 0.7) < 1e-15
-    assert abs(t.values[2] - 0.10) < 1e-15
+    # P(Y = i) = p_i^2 * sum_k (k+1)! e_k(p without i), with the
+    # leave-one-out values e_k written out by hand
+    def law(p_i, loo):
+        return p_i * p_i * sum(math.factorial(k + 1) * e for k, e in enumerate(loo))
+
+    assert derive_m2(validate([0.75, 0.25])).probs[0] == law(0.75, [1.0, 0.25])
+    got = derive_m2(validate([0.5, 0.3, 0.2])).probs[1]
+    assert abs(got - law(0.3, [1.0, 0.7, 0.10])) < 1e-15
     third = 1.0 / 3.0
-    t = elem_sym_leave_one_out(validate([third] * 3), 2)
-    assert abs(t.values[1] - 2.0 / 3.0) < 1e-15
-    assert abs(t.values[2] - 1.0 / 9.0) < 1e-15
+    got = derive_m2(validate([third] * 3)).probs[2]
+    assert abs(got - law(third, [1.0, 2.0 / 3.0, 1.0 / 9.0])) < 1e-15
 
 
-def test_leave_one_out_index_bounds():
-    d = validate([0.75, 0.25])
-    with pytest.raises(IndexOutOfRange):
-        elem_sym_leave_one_out(d, 2)
-    with pytest.raises(IndexOutOfRange):
-        elem_sym_leave_one_out(d, -1)
+def _folded_m2(probs):
+    """The one-at-a-time law with every other color folded in afresh for
+    each color i, by additions only: no downdate, no subtraction.  Row i
+    folds p with entry i zeroed, and folding a zero changes nothing."""
+    p = np.asarray(probs, dtype=float)
+    m = p.size
+    others = np.where(np.eye(m, dtype=bool), 0.0, p)
+    E = np.zeros((m, m + 1))
+    E[:, 0] = 1.0
+    for j in range(m):
+        for k in range(j + 1, 0, -1):
+            E[:, k] += k * others[:, j] * E[:, k - 1]
+    return p * p * (E * np.arange(1, m + 2)).sum(axis=1)
 
 
-def _loo_vs_recompute(d):
-    # downdate against an explicit recompute of the reduced vector; below
-    # 1e-200 both routes are rounding their way toward the denormals and
-    # a relative comparison stops meaning anything
-    for i in range(len(d)):
-        got = elem_sym_leave_one_out(d, i).values
-        reduced = [p for j, p in enumerate(d.probs) if j != i]
-        want = _raw_elem_sym(reduced)
-        for g, w in zip(got, want):
-            if abs(w) >= 1e-200:
-                assert abs(g - w) <= 1e-10 * abs(w)
-
-
-def _raw_elem_sym(values):
-    e = [0.0] * (len(values) + 1)
-    e[0] = 1.0
-    for p in values:
-        for k in range(len(values), 0, -1):
-            e[k] += p * e[k - 1]
-    return e
+def _loo_vs_fold(d):
+    want = _folded_m2(d.probs)
+    for g, w in zip(derive_m2(d).probs, want):
+        assert abs(g - w) <= 1e-10 * w
 
 
 def test_leave_one_out_downdate_matches_recompute():
     rng = np.random.default_rng(3)
     for m in (1, 2, 3, 7, 40, 200):
         d = validate(sorted(rng.dirichlet(np.ones(m)).tolist(), reverse=True))
-        _loo_vs_recompute(d)
+        _loo_vs_fold(d)
 
 
 def test_leave_one_out_survives_a_dominant_entry():
@@ -157,7 +172,7 @@ def test_leave_one_out_survives_a_dominant_entry():
     n = 200
     head = 1.0 - 1e-9
     d = validate([head] + [(1.0 - head) / n] * n)
-    _loo_vs_recompute(d)
+    _loo_vs_fold(d)
 
 
 def test_sorted_simplex_forced_and_invariants():

@@ -9,6 +9,7 @@ from pairlaw import (DomainError, DrawStats, PairLaw, RngSeed, SimReport,
                      TooManyColors, derive_m1, derive_m2, discrepancy,
                      draw_stats, m2_oracle_exact, m2_simulate,
                      match_probability, tvd, validate)
+from pairlaw.pair_laws import _m2_rows
 
 SKEW = validate([0.75, 0.25])
 TRIPLE = validate([0.5, 0.3, 0.2])
@@ -211,6 +212,18 @@ def test_simulation_feeds_tvd():
     assert abs(tvd(derive_m1(SKEW), report) - 0.05625) < 0.002
     with pytest.raises(DomainError):
         m2_simulate(SKEW, 0, RngSeed(3))
+
+
+def test_row_kernel_rows_are_independent():
+    # every row of a block comes out bit for bit as its own one-row call,
+    # whatever switch pattern the rows beside it follow
+    rng = np.random.default_rng(17)
+    for m in range(2, 13):
+        block = np.array([rng.dirichlet(np.full(m, alpha))
+                          for alpha in rng.uniform(0.1, 3.0, size=24)])
+        block[0] = 1.0 / m
+        for p, row in zip(block, _m2_rows(block)):
+            assert tuple(row.tolist()) == derive_m2(validate(p.tolist())).probs
 
 
 def test_large_color_count_stays_stable():
