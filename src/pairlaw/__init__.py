@@ -11,8 +11,7 @@ left/right settings, and seeded Monte Carlo verification of everything.
 
 __version__ = "0.1.0"
 
-from .dist_core import (AliasSampler, Distribution, RngSeed, canonical_sorted,
-                        discrete_sampler, sample_sorted_simplex, validate)
+from .dist_core import Distribution, RngSeed, validate
 from .errors import (BadSum, DomainError, Empty, ExcessTruncation,
                      IndexMismatch, InputError, InvalidPair, NegativeEntry,
                      NoSignChange, NonPositiveC, NonPositiveParameter,
@@ -23,22 +22,19 @@ from .family_opt import (THREE_COLOR_ARGMAX, THREE_COLOR_DOUBLED_MAX,
                          OptResult, PolySpec, exact_two_color_extreme,
                          family_argmax, family_discrepancy,
                          figure_family_curves, simplex_search, solve_poly)
-from .limit_laws import (ConvergenceRow, LimitCurveSample, QuadratureResult,
-                         convergence_check, ell, ell_argmax, ell_shoes,
-                         ell_shoes_diag_argmax)
+from .limit_laws import (ConvergenceRow, QuadratureResult, convergence_check,
+                         ell, ell_argmax, ell_shoes, ell_shoes_diag_argmax)
 from .pair_laws import (DrawStats, PairLaw, SimReport, derive_m1, derive_m2,
                         discrepancy, draw_stats, m2_oracle_exact, m2_simulate,
                         match_probability, tvd)
-from .shoes import (AbsorptionState, ShoePair, TrendRow, ValueWithError,
-                    shoes_discrepancy, shoes_m1, shoes_m2_exact,
-                    shoes_m2_simulate, shoes_match_probability, sup_one_demo,
-                    witness_family)
+from .shoes import (ShoePair, TrendRow, ValueWithError, shoes_discrepancy,
+                    shoes_m1, shoes_m2_exact, shoes_m2_simulate,
+                    shoes_match_probability, sup_one_demo, witness_family)
 
 __all__ = [
     "__version__",
-    # validated vectors and sampling
-    "Distribution", "RngSeed", "AliasSampler", "validate",
-    "canonical_sorted", "sample_sorted_simplex", "discrete_sampler",
+    # validated vectors and seeds
+    "Distribution", "RngSeed", "validate",
     # the two laws and their discrepancy
     "PairLaw", "DrawStats", "SimReport", "match_probability", "derive_m1",
     "derive_m2", "m2_oracle_exact", "m2_simulate", "tvd", "discrepancy",
@@ -49,10 +45,10 @@ __all__ = [
     "family_discrepancy", "family_argmax", "solve_poly",
     "exact_two_color_extreme", "simplex_search", "figure_family_curves",
     # limit curves and constants
-    "QuadratureResult", "LimitCurveSample", "ConvergenceRow", "ell",
+    "QuadratureResult", "ConvergenceRow", "ell",
     "ell_argmax", "ell_shoes", "ell_shoes_diag_argmax", "convergence_check",
     # alternating left/right collection
-    "ShoePair", "AbsorptionState", "ValueWithError", "TrendRow",
+    "ShoePair", "ValueWithError", "TrendRow",
     "shoes_match_probability", "shoes_m1", "shoes_m2_exact",
     "shoes_m2_simulate", "shoes_discrepancy", "witness_family",
     "sup_one_demo",

@@ -149,34 +149,22 @@ def _ticks(args) -> list[float]:
             for i in range(args.points)]
 
 
-def _limit_socks(args) -> tuple[dict, list, list]:
+def _limit_curve(args, name: str, point, argmax) -> tuple[dict, list, list]:
+    """A one-parameter limit curve: its argmax, the point named by --<name>,
+    or its table over the ticks."""
     if args.argmax:
-        opt = ell_argmax(args.tol)
+        opt = argmax(args.tol)
         return {"mode": "argmax"}, ["argmax", "value", "evaluations"], \
             [[opt.argmax, opt.value, opt.evaluations]]
-    if args.c is not None:
-        r = ell(args.c, args.tol)
-        return {"mode": "point", "c": args.c}, \
-            ["c", "value", "abs_error_estimate", "subdivisions"], \
-            [[args.c, r.value, r.abs_error_estimate, r.subdivisions]]
-    rows = [[c, ell(c, args.tol).value] for c in _ticks(args)]
+    x = getattr(args, name)
+    if x is not None:
+        r = point(x, args.tol)
+        return {"mode": "point", name: x}, \
+            [name, "value", "abs_error_estimate", "subdivisions"], \
+            [[x, r.value, r.abs_error_estimate, r.subdivisions]]
+    rows = [[t, point(t, args.tol).value] for t in _ticks(args)]
     return {"mode": "curve", "lo": args.lo, "hi": args.hi,
-            "points": args.points}, ["c", "value"], rows
-
-
-def _limit_shoes_diag(args) -> tuple[dict, list, list]:
-    if args.argmax:
-        opt = ell_shoes_diag_argmax(args.tol)
-        return {"mode": "argmax"}, ["argmax", "value", "evaluations"], \
-            [[opt.argmax, opt.value, opt.evaluations]]
-    if args.a is not None:
-        r = ell_shoes(args.a, args.a, args.tol)
-        return {"mode": "point", "a": args.a}, \
-            ["a", "value", "abs_error_estimate", "subdivisions"], \
-            [[args.a, r.value, r.abs_error_estimate, r.subdivisions]]
-    rows = [[a, ell_shoes(a, a, args.tol).value] for a in _ticks(args)]
-    return {"mode": "curve", "lo": args.lo, "hi": args.hi,
-            "points": args.points}, ["a", "value"], rows
+            "points": args.points}, [name, "value"], rows
 
 
 def _limit_shoes_grid(args) -> tuple[dict, list, list]:
@@ -196,14 +184,17 @@ def cmd_limit(args: argparse.Namespace) -> OutputEnvelope:
     if args.kind == "socks":
         if args.a is not None or args.b is not None:
             raise InputError("--a/--b apply to the shoes kinds; use --c")
-        params, columns, rows = _limit_socks(args)
+        params, columns, rows = _limit_curve(args, "c", ell, ell_argmax)
     elif args.kind == "shoes-diag":
         if args.c is not None or args.b is not None:
-            raise InputError("shoes-diag takes --a alone (or --argmax/--curve)")
-        params, columns, rows = _limit_shoes_diag(args)
+            raise InputError("shoes-diag takes --a alone (or --argmax)")
+        params, columns, rows = _limit_curve(
+            args, "a", lambda a, tol: ell_shoes(a, a, tol),
+            ell_shoes_diag_argmax)
     else:
         if args.argmax or args.c is not None:
-            raise InputError("shoes-grid takes --a with --b, or --curve")
+            raise InputError("shoes-grid takes --a with --b, or neither "
+                             "for a grid")
         if (args.a is None) != (args.b is None):
             raise InputError("give both --a and --b for a grid point")
         params, columns, rows = _limit_shoes_grid(args)
@@ -296,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["socks", "shoes-diag", "shoes-grid"],
                    required=True)
     p.add_argument("--argmax", action="store_true", help="locate the maximum")
-    p.add_argument("--curve", action="store_true", help="tabulate the curve")
     p.add_argument("--c", type=float, help="evaluation point (socks)")
     p.add_argument("--a", type=float, help="evaluation point (shoes)")
     p.add_argument("--b", type=float, help="second point (shoes-grid)")

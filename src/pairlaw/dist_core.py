@@ -2,16 +2,17 @@
 leans on.
 
 A Distribution is an immutable, validated vector of color probabilities.
-The module also provides uniform sampling from the sorted probability
-simplex and a constant-time discrete sampler, both fully determined by an
-explicit 64-bit seed.
+The module also holds the two sampling kernels the simulators and the
+simplex search share: rows drawn uniformly from the sorted probability
+simplex, and constant-time alias-method color draws.  Both are fully
+determined by an explicit 64-bit seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -64,8 +65,7 @@ class Distribution:
     """Finite vector of color probabilities.
 
     Entries are nonnegative and sum to one within SUM_TOL; nothing is ever
-    renormalized silently.  Sortedness is not an invariant; use
-    canonical_sorted for the nonincreasing representative.
+    renormalized silently.  Sortedness is not an invariant.
     """
 
     probs: tuple[float, ...]
@@ -95,30 +95,14 @@ def validate(raw: Iterable[float]) -> Distribution:
     return Distribution(tuple(float(v) for v in raw))
 
 
-def canonical_sorted(d: Distribution) -> Distribution:
-    """The nonincreasing rearrangement of d.
-
-    Both pair laws are equivariant under color permutation, so this is the
-    canonical representative of d's equivalence class.
-    """
-    return Distribution(tuple(sorted(d.probs, reverse=True)))
-
-
-def sample_sorted_simplex(m: int, seed: RngSeed) -> Distribution:
-    """Uniform draw from the nonincreasing probability vectors of length m.
+def _sorted_simplex_rows(m: int, count: int, g: np.random.Generator) -> np.ndarray:
+    """count independent uniform draws from the nonincreasing probability
+    vectors of length m, as rows.
 
     m standard exponentials normalized by their sum are uniform on the
-    simplex (Dirichlet with all parameters 1); sorting folds the draw onto
+    simplex (Dirichlet with all parameters 1); sorting folds each draw onto
     the nonincreasing chamber, where the density is again constant.
     """
-    if m < 1:
-        raise Empty("need at least one color")
-    rows = _sorted_simplex_rows(m, 1, seed.generator())
-    return Distribution(tuple(rows[0].tolist()))
-
-
-def _sorted_simplex_rows(m: int, count: int, g: np.random.Generator) -> np.ndarray:
-    """count independent sorted-simplex points as rows, nonincreasing."""
     e = g.standard_exponential((count, m))
     e /= e.sum(axis=1, keepdims=True)
     e.sort(axis=1)
@@ -156,36 +140,3 @@ def _alias_draw(accept: np.ndarray, alias: np.ndarray,
     np.minimum(idx, m - 1, out=idx)  # guard the u == m round-up corner
     frac = u - idx
     return np.where(frac < accept[idx], idx, alias[idx])
-
-
-class AliasSampler:
-    """Constant-time discrete sampler over the colors of a distribution.
-
-    Vose's alias method: one uniform, one table lookup, and one comparison
-    per draw.  draw(count) yields a vectorized batch; iterating the sampler
-    yields single indices from the same stream.  The sequence of draws is a
-    pure function of (distribution, seed).
-    """
-
-    _BUFFER = 1024
-
-    def __init__(self, d: Distribution, seed: RngSeed):
-        self.distribution = d
-        self.seed = seed
-        self._accept, self._alias = _alias_tables(d.probs)
-        self._rng = seed.generator()
-
-    def draw(self, count: int) -> np.ndarray:
-        if count < 0:
-            raise DomainError("draw count must be nonnegative")
-        return _alias_draw(self._accept, self._alias, self._rng, count)
-
-    def __iter__(self) -> Iterator[int]:
-        while True:
-            for c in self.draw(self._BUFFER):
-                yield int(c)
-
-
-def discrete_sampler(d: Distribution, seed: RngSeed) -> AliasSampler:
-    """A reproducible stream of color indices distributed as d."""
-    return AliasSampler(d, seed)

@@ -52,14 +52,6 @@ class QuadratureResult:
     subdivisions: int
 
 
-@dataclass(frozen=True)
-class LimitCurveSample:
-    """One sample of a limit curve or surface: parameters and value."""
-
-    params: tuple[float, ...]
-    value: float
-
-
 def _adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], upper: float,
                       tol: float, scale: float) -> tuple[float, float, int]:
     """Integral of f over [0, upper] by adaptive Simpson subdivision.
@@ -143,16 +135,24 @@ def ell(c: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     return QuadratureResult(cc / (1.0 + cc) - value, err, splits)
 
 
-def ell_argmax(tol: float = DEFAULT_TOL) -> OptResult:
-    """Location and value of the maximum of ell."""
+def _curve_argmax(curve: Callable[[float, float], QuadratureResult],
+                  tol: float) -> OptResult:
+    """Location and value of the maximum of curve(x, tol).value on
+    (0, SEARCH_HI): a coarse scan at a looser tolerance, then a refinement
+    at tol."""
     if not tol >= 1e-12:
         raise DomainError(f"argmax tolerance {tol!r} below the 1e-12 floor")
     scan_tol = max(1e4 * tol, SCAN_TOL_FLOOR)
     result = maximize_scalar(
-        lambda c: ell(c, tol).value, 0.0, SEARCH_HI,
+        lambda x: curve(x, tol).value, 0.0, SEARCH_HI,
         grid=ARGMAX_GRID, width=ARGMAX_WIDTH, step=ARGMAX_STEP,
-        scan_f=lambda c: ell(c, scan_tol).value)
+        scan_f=lambda x: curve(x, scan_tol).value)
     return OptResult(*result)
+
+
+def ell_argmax(tol: float = DEFAULT_TOL) -> OptResult:
+    """Location and value of the maximum of ell."""
+    return _curve_argmax(ell, tol)
 
 
 def ell_shoes(a: float, b: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -181,14 +181,7 @@ def ell_shoes(a: float, b: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
 
 def ell_shoes_diag_argmax(tol: float = DEFAULT_TOL) -> OptResult:
     """Maximum of the alternating-pairs surface along its diagonal a = b."""
-    if not tol >= 1e-12:
-        raise DomainError(f"argmax tolerance {tol!r} below the 1e-12 floor")
-    scan_tol = max(1e4 * tol, SCAN_TOL_FLOOR)
-    result = maximize_scalar(
-        lambda a: ell_shoes(a, a, tol).value, 0.0, SEARCH_HI,
-        grid=ARGMAX_GRID, width=ARGMAX_WIDTH, step=ARGMAX_STEP,
-        scan_f=lambda a: ell_shoes(a, a, scan_tol).value)
-    return OptResult(*result)
+    return _curve_argmax(lambda a, t: ell_shoes(a, a, t), tol)
 
 
 @dataclass(frozen=True)

@@ -230,44 +230,67 @@ def m2_oracle_exact(d: Distribution) -> PairLaw:
     return PairLaw(M2, probs)
 
 
-def _simulate_chunk(accept: np.ndarray, alias: np.ndarray, m: int,
-                    g: np.random.Generator, count: int) -> np.ndarray:
-    """Absorption counts for one chunk of one-at-a-time walks."""
-    seen = np.zeros((count, m), dtype=bool)
+def _walk_chunk(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
+                g: np.random.Generator, count: int,
+                max_steps: int) -> tuple[np.ndarray, int]:
+    """Absorption counts and truncation count for one chunk of walks.
+
+    Step s draws from side s % len(tables) with that side's alias tables;
+    all live walks are at the same step, so one draw serves the batch.  A
+    walk absorbs when its color is already in seen[side - 1]: with one
+    side that is the walk's own seen set (a repeat), with two it is the
+    other side's (a completed left/right pair).
+    """
+    seen = [np.zeros((count, m), dtype=bool) for _ in tables]
     rows = np.arange(count)
     counts = np.zeros(m, dtype=np.int64)
-    # every walk stops within m + 1 draws: m + 1 objects force a repeat
-    for _ in range(m + 1):
+    for step in range(max_steps):
         if rows.size == 0:
             break
-        c = _alias_draw(accept, alias, g, rows.size)
-        hit = seen[rows, c]
+        side = step % len(tables)
+        c = _alias_draw(*tables[side], g, rows.size)
+        hit = seen[side - 1][rows, c]
         if hit.any():
             counts += np.bincount(c[hit], minlength=m)
             rows = rows[~hit]
             c = c[~hit]
-        seen[rows, c] = True
-    return counts
+        seen[side][rows, c] = True
+    return counts, int(rows.size)
+
+
+def _walks(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
+           trials: int, seed, max_steps: int,
+           threads: int | None) -> tuple[np.ndarray, int]:
+    """Absorption counts and truncation count of `trials` walks.
+
+    Trials are split into _chunk_rows(m)-sized blocks, one derived seed
+    stream per block, and the blocks are reduced in index order, so the
+    outcome is a pure function of (tables, trials, seed, max_steps)
+    whatever the thread count.
+    """
+    def run(block: int, count: int) -> tuple[np.ndarray, int]:
+        return _walk_chunk(tables, m, seed.stream(block).generator(), count,
+                           max_steps)
+
+    counts = np.zeros(m, dtype=np.int64)
+    truncated = 0
+    for chunk_counts, chunk_trunc in map_ordered(
+            run, _blocks(trials, _chunk_rows(m)), threads):
+        counts += chunk_counts
+        truncated += chunk_trunc
+    return counts, truncated
 
 
 def m2_simulate(d: Distribution, trials: int, seed, *, threads: int | None = None) -> SimReport:
-    """Monte Carlo of the one-at-a-time procedure.
-
-    Trials are split into SIM_CHUNK-sized blocks, one derived seed stream
-    per block, and the blocks are reduced in index order, so the report is
-    a pure function of (d, trials, seed) whatever the thread count.
-    """
+    """Monte Carlo of the one-at-a-time procedure: one-side walks with
+    horizon m + 1, which every walk meets, since m + 1 objects force a
+    repeat.  The report is a pure function of (d, trials, seed)."""
     if trials < 1:
         raise DomainError("trials must be at least 1")
     m = len(d)
-    accept, alias = _alias_tables(d.probs)
-
-    def run(block: int, count: int) -> np.ndarray:
-        return _simulate_chunk(accept, alias, m, seed.stream(block).generator(), count)
-
-    blocks = _blocks(trials, _chunk_rows(m))
-    counts = sum(map_ordered(run, blocks, threads))
-    return _report_from_counts(counts, seed.seed, truncated=0)
+    counts, truncated = _walks([_alias_tables(d.probs)], m, trials, seed,
+                               m + 1, threads)
+    return _report_from_counts(counts, seed.seed, truncated=truncated)
 
 
 def _report_from_counts(counts: np.ndarray, seed_value: int, truncated: int) -> SimReport:

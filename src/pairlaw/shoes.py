@@ -15,14 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from ._parallel import _blocks, map_ordered
-from .dist_core import Distribution, RngSeed, _alias_draw, _alias_tables
+from .dist_core import Distribution, RngSeed, _alias_tables
 from .errors import (DomainError, ExcessTruncation, IndexMismatch, InvalidPair,
                      NTooSmall, TooManyColors)
-from .pair_laws import M1, M2, PairLaw, SimReport, _chunk_rows, \
-    _report_from_counts, tvd
+from .pair_laws import M1, M2, PairLaw, SimReport, _report_from_counts, \
+    _walks, tvd
 
 #: The exact solve walks all (left seen, right seen) set pairs: 3^m of
 #: them, each with a two-state turn cycle.
@@ -60,22 +57,6 @@ class ShoePair:
         return len(self.left)
 
 
-@dataclass(frozen=True)
-class AbsorptionState:
-    """A state of the alternating walk: colors seen on each side, and whose
-    turn is next.  Sides are disjoint (an overlap means already absorbed)."""
-
-    left_seen: frozenset[int]
-    right_seen: frozenset[int]
-    next_side: str
-
-    def __post_init__(self) -> None:
-        if self.next_side not in ("left", "right"):
-            raise DomainError(f"unknown side {self.next_side!r}")
-        if self.left_seen & self.right_seen:
-            raise DomainError("overlapping sides describe an absorbed walk")
-
-
 def shoes_match_probability(sp: ShoePair) -> float:
     """Chance that one left draw and one right draw agree in color."""
     return math.fsum(p * q for p, q in zip(sp.left.probs, sp.right.probs))
@@ -100,8 +81,11 @@ def shoes_m2_exact(sp: ShoePair) -> PairLaw:
     the left's turn) and I_R, the occupations are u = (I_L + beta I_R) /
     (1 - alpha beta) and v = I_R + alpha u.  alpha beta < 1 whenever some
     color has mass on both sides, which the pair invariant guarantees, so
-    no weight escapes into an endless cycle.  States advance by total
-    colors seen; 3^m set pairs, hence the size cap.
+    no weight escapes into an endless cycle.  The denominator is taken as
+    (1 - alpha) + alpha (1 - beta) from the unseen masses, a sum of
+    nonnegative terms, so it keeps full relative precision however close
+    alpha beta comes to one.  States advance by total colors seen; 3^m set
+    pairs, hence the size cap.
     """
     m = len(sp)
     if m > SHOES_EXACT_MAX_COLORS:
@@ -109,6 +93,7 @@ def shoes_m2_exact(sp: ShoePair) -> PairLaw:
     p = sp.left.probs
     q = sp.right.probs
     size = 1 << m
+    full = size - 1
     pmass = [0.0] * size
     qmass = [0.0] * size
     for mask in range(1, size):
@@ -124,7 +109,8 @@ def shoes_m2_exact(sp: ShoePair) -> PairLaw:
         for (lmask, rmask), (in_left, in_right) in level.items():
             alpha = pmass[lmask]
             beta = qmass[rmask]
-            u = (in_left + beta * in_right) / (1.0 - alpha * beta)
+            gap = pmass[full ^ lmask] + alpha * qmass[full ^ rmask]
+            u = (in_left + beta * in_right) / gap
             v = in_right + alpha * u
             for c in range(m):
                 bit = 1 << c
@@ -162,44 +148,14 @@ def _default_horizon(sp: ShoePair) -> int:
     return 2 * k + 2
 
 
-def _simulate_chunk(tables: tuple, m: int, g: np.random.Generator,
-                    count: int, max_steps: int) -> tuple[np.ndarray, int]:
-    """Absorption counts and truncation count for one chunk of walks.
-
-    All active walks are at the same step, so one side's tables serve the
-    whole batch each iteration; a row absorbs when its drawn color was
-    already seen on the opposite side.
-    """
-    l_accept, l_alias, r_accept, r_alias = tables
-    seen_left = np.zeros((count, m), dtype=bool)
-    seen_right = np.zeros((count, m), dtype=bool)
-    rows = np.arange(count)
-    counts = np.zeros(m, dtype=np.int64)
-    for step in range(max_steps):
-        if rows.size == 0:
-            break
-        if step % 2 == 0:
-            c = _alias_draw(l_accept, l_alias, g, rows.size)
-            opposite, own = seen_right, seen_left
-        else:
-            c = _alias_draw(r_accept, r_alias, g, rows.size)
-            opposite, own = seen_left, seen_right
-        hit = opposite[rows, c]
-        if hit.any():
-            counts += np.bincount(c[hit], minlength=m)
-            rows = rows[~hit]
-            c = c[~hit]
-        own[rows, c] = True
-    return counts, int(rows.size)
-
-
 def shoes_m2_simulate(sp: ShoePair, trials: int, seed: RngSeed,
                       max_steps: int | None = None, *,
                       threads: int | None = None) -> SimReport:
     """Monte Carlo of the alternating procedure.
 
-    Chunked over derived seed streams exactly like the one-sequence
-    simulator, so results depend only on (pair, trials, seed, max_steps).
+    Two-side walks, left then right, on the walk kernel and seed-stream
+    blocks of the one-sequence simulator, so results depend only on
+    (pair, trials, seed, max_steps).
     Walks that outlive max_steps (default: the union-bound horizon, per-walk
     survival below HORIZON_SURVIVAL) are dropped from the tally and counted;
     a truncated fraction reaching TRUNCATION_FRACTION raises
@@ -212,19 +168,9 @@ def shoes_m2_simulate(sp: ShoePair, trials: int, seed: RngSeed,
         max_steps = _default_horizon(sp)
     if max_steps < 2:
         raise DomainError("need at least two steps to complete a pair")
-    m = len(sp)
-    tables = _alias_tables(sp.left.probs) + _alias_tables(sp.right.probs)
-
-    def run(block: int, count: int) -> tuple[np.ndarray, int]:
-        return _simulate_chunk(tables, m, seed.stream(block).generator(),
-                               count, max_steps)
-
-    blocks = _blocks(trials, _chunk_rows(m))
-    counts = np.zeros(m, dtype=np.int64)
-    truncated = 0
-    for chunk_counts, chunk_trunc in map_ordered(run, blocks, threads):
-        counts += chunk_counts
-        truncated += chunk_trunc
+    tables = [_alias_tables(sp.left.probs), _alias_tables(sp.right.probs)]
+    counts, truncated = _walks(tables, len(sp), trials, seed, max_steps,
+                               threads)
     if truncated >= TRUNCATION_FRACTION * trials:
         raise ExcessTruncation(
             f"{truncated} of {trials} walks ran past {max_steps} steps")

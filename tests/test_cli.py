@@ -199,7 +199,7 @@ def test_limit_shoes_grid_point(capsys):
 
 
 def test_limit_curve(capsys):
-    code, out, _ = run(capsys, "limit", "--kind", "socks", "--curve", "--lo", "0.5",
+    code, out, _ = run(capsys, "limit", "--kind", "socks", "--lo", "0.5",
                        "--hi", "2.0", "--points", "4", "--format", "json")
     assert code == 0
     rows = json.loads(out)["results"]["rows"]
@@ -250,6 +250,19 @@ def test_shoes_derive_exact(capsys):
     assert lines[1] == "m1,0,0.9,0"
     assert lines[3] == "m2,0,0.865384615385,0"  # 45/52 to 12 digits
     assert lines[5].startswith("discrepancy,,0.0346153846154,0")
+
+
+def test_shoes_derive_exact_near_degenerate_pairs(capsys):
+    code, out, err = run(capsys, "shoes", "derive", "--left", "1e-300,1",
+                         "--right", "1,0", "--exact")
+    assert code == 0 and err == ""
+    assert out.split("\n")[3:5] == ["m2,0,1,0", "m2,1,0,0"]
+    code, _, err = run(capsys, "shoes", "derive", "--exact",
+                       "--left", "3.5422106633144815e-22,0.8914260451620935,"
+                       "0.1085739548379065",
+                       "--right", "0.999999987925039,1.9141217601772464e-11,"
+                       "1.20558198391119e-08")
+    assert code == 0 and err == ""
 
 
 def test_shoes_derive_simulation_path(capsys):

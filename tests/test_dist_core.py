@@ -10,9 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from pairlaw import (AliasSampler, BadSum, Distribution, DomainError, Empty,
-                     NegativeEntry, RngSeed, canonical_sorted, derive_m2,
-                     discrete_sampler, sample_sorted_simplex, validate)
+from pairlaw import (BadSum, DomainError, Empty, NegativeEntry, RngSeed,
+                     derive_m2, validate)
+from pairlaw.dist_core import _alias_draw, _alias_tables, _sorted_simplex_rows
 from pairlaw.pair_laws import _scaled_elem_sym
 
 
@@ -48,25 +48,6 @@ def test_validate_never_renormalizes():
 def test_zero_entries_are_kept():
     d = validate([0.5, 0.0, 0.5])
     assert len(d) == 3 and d.probs[1] == 0.0
-
-
-def test_canonical_sorted_examples():
-    assert canonical_sorted(validate([0.25, 0.75])).probs == (0.75, 0.25)
-    third = 1.0 / 3.0
-    assert canonical_sorted(validate([third] * 3)).probs == (third,) * 3
-    assert canonical_sorted(validate([0.2, 0.5, 0.3])).probs == (0.5, 0.3, 0.2)
-
-
-def test_canonical_sorted_idempotent_and_permutation_invariant():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        m = int(rng.integers(1, 9))
-        d = validate(rng.dirichlet(np.ones(m)).tolist())
-        s = canonical_sorted(d)
-        assert canonical_sorted(s) == s
-        shuffled = list(d.probs)
-        rng.shuffle(shuffled)
-        assert canonical_sorted(validate(shuffled)) == s
 
 
 def _column(values):
@@ -175,31 +156,29 @@ def test_leave_one_out_survives_a_dominant_entry():
     _loo_vs_fold(d)
 
 
+def _simplex_rows(m, count, seed):
+    return _sorted_simplex_rows(m, count, RngSeed(seed).generator())
+
+
 def test_sorted_simplex_forced_and_invariants():
-    assert sample_sorted_simplex(1, RngSeed(0)).probs == (1.0,)
-    d = sample_sorted_simplex(3, RngSeed(42))
-    assert all(a >= b for a, b in zip(d.probs, d.probs[1:]))
-    assert abs(math.fsum(d.probs) - 1.0) <= 1e-12
-    with pytest.raises(Empty):
-        sample_sorted_simplex(0, RngSeed(42))
+    assert _simplex_rows(1, 1, 0).tolist() == [[1.0]]
+    row = _simplex_rows(3, 1, 42)[0]
+    assert all(a >= b for a, b in zip(row, row[1:]))
+    assert abs(math.fsum(row) - 1.0) <= 1e-12
 
 
 def test_sorted_simplex_seed_determinism():
-    a = sample_sorted_simplex(5, RngSeed(99))
-    b = sample_sorted_simplex(5, RngSeed(99))
-    c = sample_sorted_simplex(5, RngSeed(100))
-    assert a == b
-    assert a != c
+    a = _simplex_rows(5, 1, 99)
+    b = _simplex_rows(5, 1, 99)
+    c = _simplex_rows(5, 1, 100)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_sorted_simplex_mean_of_largest_entry_m2():
     # max of a uniform stick-break at m=2 is uniform on (1/2, 1), mean 3/4
-    total = 0.0
-    draws = 100_000
-    base = RngSeed(2718)
-    for i in range(draws):
-        total += sample_sorted_simplex(2, base.stream(i)).probs[0]
-    assert abs(total / draws - 0.75) < 0.005
+    heads = _simplex_rows(2, 100_000, 2718)[:, 0]
+    assert abs(float(heads.mean()) - 0.75) < 0.005
 
 
 def test_rng_seed_validation_and_streams():
@@ -221,20 +200,23 @@ def test_rng_generator_is_bit_deterministic():
     assert np.array_equal(g1.random(100), g2.random(100))
 
 
+def _alias_draws(probs, seed, count):
+    accept, alias = _alias_tables(validate(probs).probs)
+    return _alias_draw(accept, alias, RngSeed(seed).generator(), count)
+
+
 def test_sampler_point_mass():
-    s = discrete_sampler(validate([1.0]), RngSeed(1))
-    assert not s.draw(1000).any()
+    assert not _alias_draws([1.0], 1, 1000).any()
 
 
 def test_sampler_binomial_band():
-    s = discrete_sampler(validate([0.75, 0.25]), RngSeed(31337))
-    freq0 = float(np.mean(s.draw(1_000_000) == 0))
+    freq0 = float(np.mean(_alias_draws([0.75, 0.25], 31337, 1_000_000) == 0))
     assert 0.7489 <= freq0 <= 0.7511  # 3 sigma band around 0.75
 
 
 def test_sampler_chi_square():
     probs = [0.5, 0.3, 0.2]
-    draws = discrete_sampler(validate(probs), RngSeed(5)).draw(1_000_000)
+    draws = _alias_draws(probs, 5, 1_000_000)
     counts = np.bincount(draws, minlength=3)
     expected = np.asarray(probs) * 1_000_000
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -242,16 +224,15 @@ def test_sampler_chi_square():
 
 
 def test_sampler_reproducible_and_iterable():
-    d = validate([0.5, 0.3, 0.2])
-    a = discrete_sampler(d, RngSeed(8)).draw(500)
-    b = discrete_sampler(d, RngSeed(8)).draw(500)
+    a = _alias_draws([0.5, 0.3, 0.2], 8, 500)
+    b = _alias_draws([0.5, 0.3, 0.2], 8, 500)
     assert np.array_equal(a, b)
-    it = iter(discrete_sampler(d, RngSeed(8)))
-    head = [next(it) for _ in range(500)]
-    assert head == a.tolist()
-    assert isinstance(discrete_sampler(d, RngSeed(8)), AliasSampler)
+    # one uniform per draw: a stream drawn in pieces is the same stream
+    accept, alias = _alias_tables((0.5, 0.3, 0.2))
+    g = RngSeed(8).generator()
+    pieces = [_alias_draw(accept, alias, g, n) for n in (1, 199, 300)]
+    assert np.concatenate(pieces).tolist() == a.tolist()
 
 
 def test_sampler_never_draws_zero_probability_colors():
-    s = discrete_sampler(validate([0.5, 0.0, 0.5]), RngSeed(77))
-    assert not (s.draw(200_000) == 1).any()
+    assert not (_alias_draws([0.5, 0.0, 0.5], 77, 200_000) == 1).any()

@@ -1,0 +1,81 @@
+"""Seeded simulation outputs, pinned value for value.
+
+Thread invariance alone would not notice a change in the order the walks
+consume their random streams; these exact figures do.
+"""
+
+import pytest
+
+from pairlaw import (ExcessTruncation, RngSeed, ShoePair, m2_simulate,
+                     shoes_m2_simulate, validate, witness_family)
+
+TRIPLE = validate([0.5, 0.3, 0.2])
+SIX = validate([0.3, 0.25, 0.2, 0.1, 0.1, 0.05])
+RAMP = validate([(i + 1) / 820 for i in range(40)])
+ASYM = ShoePair(validate([0.6, 0.3, 0.1]), validate([0.2, 0.2, 0.6]))
+
+
+def _counts(report):
+    return [round(q * report.trials) for q in report.estimated_probs]
+
+
+def test_socks_run_spanning_two_blocks():
+    # 81,920 trials: one full 65,536-trial block and a partial one
+    r = m2_simulate(TRIPLE, 81_920, RngSeed(11), threads=1)
+    assert r.estimated_probs == (0.588623046875, 0.26986083984375,
+                                 0.14151611328125)
+    assert (r.trials, r.truncated) == (81_920, 0)
+
+
+def test_socks_runs_on_two_threads():
+    r = m2_simulate(SIX, 150_000, RngSeed(12), threads=2)
+    assert r.estimated_probs == (0.37631333333333333, 0.2853266666666667,
+                                 0.19494, 0.06246, 0.0634, 0.01756)
+    assert (r.trials, r.truncated) == (150_000, 0)
+    r = m2_simulate(RAMP, 70_000, RngSeed(17), threads=2)
+    assert _counts(r) == [
+        2, 18, 38, 67, 125, 171, 194, 229, 334, 359, 418, 501, 592, 711,
+        759, 908, 953, 1045, 1220, 1414, 1461, 1652, 1693, 1872, 2084, 2181,
+        2349, 2490, 2657, 2877, 3032, 3185, 3375, 3469, 3758, 3996, 4159,
+        4358, 4618, 4676]
+    assert (r.trials, r.truncated) == (70_000, 0)
+
+
+def test_socks_single_trial_on_one_color():
+    r = m2_simulate(validate([1.0]), 1, RngSeed(3))
+    assert (r.estimated_probs, r.trials, r.truncated) == ((1.0,), 1, 0)
+
+
+def test_shoes_run_spanning_two_blocks():
+    r = shoes_m2_simulate(ASYM, 114_688, RngSeed(13), threads=1)
+    assert r.estimated_probs == (0.43996756417410715, 0.32747105189732145,
+                                 0.23256138392857142)
+    assert (r.trials, r.truncated) == (114_688, 0)
+
+
+def test_shoes_runs_on_two_threads():
+    r = shoes_m2_simulate(ASYM, 150_000, RngSeed(14), threads=2)
+    assert r.estimated_probs == (0.4397, 0.3288466666666667,
+                                 0.23145333333333334)
+    assert (r.trials, r.truncated) == (150_000, 0)
+
+
+def test_shoes_truncation_count_at_a_short_horizon():
+    with pytest.raises(ExcessTruncation,
+                       match="^6229 of 10000 walks ran past 3 steps$"):
+        shoes_m2_simulate(ASYM, 10_000, RngSeed(16), 3)
+
+
+def test_witness_family_run():
+    r = shoes_m2_simulate(witness_family(100), 70_000, RngSeed(15), threads=2)
+    assert r.estimated_probs[0] == 0.37042857142857144
+    assert _counts(r) == [
+        25930, 420, 455, 415, 469, 450, 467, 431, 482, 465, 408, 455, 434,
+        436, 430, 451, 430, 393, 490, 436, 419, 427, 444, 474, 464, 475, 447,
+        425, 435, 462, 448, 416, 427, 436, 460, 425, 471, 441, 439, 461, 405,
+        476, 409, 406, 414, 470, 422, 471, 402, 433, 473, 437, 476, 408, 464,
+        417, 451, 456, 418, 432, 440, 449, 422, 431, 452, 454, 450, 449, 430,
+        429, 436, 441, 434, 455, 433, 407, 449, 477, 488, 422, 417, 449, 451,
+        456, 452, 460, 438, 432, 435, 404, 446, 420, 445, 453, 416, 454, 443,
+        425, 435, 399, 439]
+    assert (r.trials, r.truncated) == (70_000, 0)

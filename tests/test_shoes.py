@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from pairlaw import (AbsorptionState, DomainError, ExcessTruncation,
-                     IndexMismatch, InvalidPair, NTooSmall, RngSeed, ShoePair,
-                     TooManyColors, shoes_discrepancy, shoes_m1,
-                     shoes_m2_exact, shoes_m2_simulate,
-                     shoes_match_probability, sup_one_demo, tvd, validate,
-                     witness_family)
+from pairlaw import (DomainError, ExcessTruncation, IndexMismatch,
+                     InvalidPair, NTooSmall, RngSeed, ShoePair, TooManyColors,
+                     shoes_discrepancy, shoes_m1, shoes_m2_exact,
+                     shoes_m2_simulate, shoes_match_probability, sup_one_demo,
+                     tvd, validate, witness_family)
 
 DIAG_SKEW = ShoePair(validate([0.75, 0.25]), validate([0.75, 0.25]))
 TRIPLE = validate([0.5, 0.3, 0.2])
@@ -22,14 +21,6 @@ def test_pair_validation():
         ShoePair(validate([0.5, 0.5]), validate([1.0]))
     with pytest.raises(InvalidPair):
         ShoePair(validate([1.0, 0.0]), validate([0.0, 1.0]))
-
-
-def test_absorption_state_validation():
-    AbsorptionState(frozenset({0}), frozenset({1}), "left")
-    with pytest.raises(DomainError):
-        AbsorptionState(frozenset({0}), frozenset({0}), "left")
-    with pytest.raises(DomainError):
-        AbsorptionState(frozenset(), frozenset(), "up")
 
 
 def test_match_probability_and_m1():
@@ -69,6 +60,31 @@ def test_single_shared_color_takes_all_the_mass():
     assert shoes_m2_exact(sp).probs == (0.0, 1.0, 0.0)
     assert shoes_m1(sp).probs == (0.0, 1.0, 0.0)
     assert shoes_discrepancy(sp).value == 0.0
+
+
+#: A valid pair whose match probability is 1e-300: 1 - alpha beta
+#: underflows to zero on the state both heavy colors lead to.
+TINY_MATCH = ShoePair(validate([1e-300, 1.0]), validate([1.0, 0.0]))
+
+#: A random Dirichlet pair on which alpha beta comes within about 1e-8 of
+#: one, so 1 - alpha beta taken by subtraction keeps only half its digits.
+NEAR_ONE = ShoePair(
+    validate([3.5422106633144815e-22, 0.8914260451620935, 0.1085739548379065]),
+    validate([0.999999987925039, 1.9141217601772464e-11, 1.20558198391119e-08]))
+
+
+def test_exact_chain_survives_a_vanishing_match_probability():
+    got = shoes_m2_exact(TINY_MATCH).probs
+    assert abs(got[0] - 1.0) <= 1e-15 and got[1] == 0.0
+
+
+def test_exact_chain_near_one_alpha_beta_matches_a_rational_solve():
+    # exact rational solve of the chain in which each side repeats with
+    # probability one minus its unseen mass
+    want = (2.9335172566415436e-14, 0.0015851991167399734,
+            0.9984148008832306)
+    for g, w in zip(shoes_m2_exact(NEAR_ONE).probs, want):
+        assert abs(g - w) <= 1e-12 * w
 
 
 def test_exact_chain_color_cap():
