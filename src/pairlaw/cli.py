@@ -81,18 +81,18 @@ def render(envelope: OutputEnvelope, fmt: str) -> str:
     return csv_from_results(envelope.results)
 
 
-def _parse_inline(text: str) -> list[float]:
+def _parse_list(text: str, kind=float) -> list:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise InputError(f"unparsable probability list {text!r}") from exc
+        raise InputError(f"unparsable {kind.__name__} list {text!r}") from exc
 
 
 def _parse_dist(inline: str | None, path: str | None) -> Distribution:
     if (inline is None) == (path is None):
         raise InputError("give exactly one of an inline list or a file")
     if inline is not None:
-        return validate(_parse_inline(inline))
+        return validate(_parse_list(inline))
     try:
         with open(path, encoding="utf-8") as fh:
             values = [line.strip() for line in fh]
@@ -102,13 +102,6 @@ def _parse_dist(inline: str | None, path: str | None) -> Distribution:
         return validate(float(v) for v in values if v != "")
     except ValueError as exc:
         raise InputError(f"unparsable probability file {path!r}") from exc
-
-
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise InputError(f"unparsable integer list {text!r}") from exc
 
 
 def cmd_derive(args: argparse.Namespace) -> OutputEnvelope:
@@ -242,7 +235,7 @@ def cmd_shoes_derive(args: argparse.Namespace) -> OutputEnvelope:
 
 
 def cmd_shoes_sup_demo(args: argparse.Namespace) -> OutputEnvelope:
-    sizes = _parse_int_list(args.n)
+    sizes = _parse_list(args.n, int)
     rows = [[r.n, r.value, r.error]
             for r in sup_one_demo(sizes, args.trials, RngSeed(args.seed),
                                   threads=args.threads)]

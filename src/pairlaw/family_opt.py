@@ -142,45 +142,25 @@ def _horner(coefficients: tuple[float, ...], x: float) -> float:
 
 
 def solve_poly(ps: PolySpec) -> float:
-    """The root of ps inside its bracket, to near machine precision.
+    """The root of ps inside its bracket, to the last bit.
 
-    Bisection narrows the sign-change interval to 1e-6 (unconditionally
-    robust), then Newton polishes; a Newton step leaving the current
-    interval falls back to its midpoint, so convergence never depends on
-    derivative quality.  Requires a strict sign change across the bracket.
+    Bisection on the sign change until the bracket cannot be halved: about
+    sixty Horner evaluations, unconditionally robust, with no derivative.
+    Requires a strict sign change across the bracket.
     """
     lo, hi = ps.bracket
     flo = _horner(ps.coefficients, lo)
-    fhi = _horner(ps.coefficients, hi)
-    if not flo * fhi < 0.0:
+    if not flo * _horner(ps.coefficients, hi) < 0.0:
         raise NoSignChange(f"no sign change on [{lo!r}, {hi!r}]")
-    while hi - lo > 1e-6:
+    while True:
         mid = 0.5 * (lo + hi)
         fm = _horner(ps.coefficients, mid)
-        if fm == 0.0:
+        if fm == 0.0 or mid in (lo, hi):
             return mid
         if (fm < 0.0) == (flo < 0.0):
             lo, flo = mid, fm
         else:
-            hi, fhi = mid, fm
-    deriv = tuple(k * c for k, c in enumerate(ps.coefficients))[1:]
-    x = 0.5 * (lo + hi)
-    for _ in range(80):
-        fx = _horner(ps.coefficients, x)
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) == (flo < 0.0):
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-        dfx = _horner(deriv, x)
-        nxt = x - fx / dfx if dfx != 0.0 else 0.5 * (lo + hi)
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= 1e-15 * max(1.0, abs(x)):
-            return nxt
-        x = nxt
-    return x
+            hi = mid
 
 
 def exact_two_color_extreme() -> tuple[float, float]:

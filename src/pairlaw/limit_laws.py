@@ -89,9 +89,13 @@ def _adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], upper: float,
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = (left + right - whole) / 15.0
-        done = np.abs(err) <= budget
+        size = np.abs(err)
+        if not math.isfinite(size.sum()):  # it would split forever
+            raise ToleranceNotMet(
+                f"quadrature error estimate is not finite at tol {tol!r}")
+        done = size <= budget
         total += float(np.sum(left[done] + right[done] + err[done]))
-        err_total += float(np.sum(np.abs(err[done])))
+        err_total += float(np.sum(size[done]))
         keep = ~done
         splits += int(np.count_nonzero(keep))
         a = np.concatenate([a[keep], m[keep]])
@@ -122,10 +126,10 @@ def ell(c: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     max(12, 12 / c) that factor alone is below 1e-31, so the tail is cut
     there.
     """
-    if not 0.0 < c < math.inf:
-        raise NonPositiveC(f"c must be positive and finite, got {c!r}")
-    _check_tol(tol)
     cc = c * c
+    if not (0.0 < c and cc < math.inf):
+        raise NonPositiveC(f"c must be positive with a finite square, got {c!r}")
+    _check_tol(tol)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return cc * t * np.exp(-c * t - 0.5 * t * t)
@@ -163,9 +167,10 @@ def ell_shoes(a: float, b: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     Symmetric in (a, b) by construction: the integrand is literally
     unchanged under swapping them, so no symmetrization step is needed.
     """
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+    ab = a * b
+    if not (0.0 < a and 0.0 < b and ab < math.inf and a + b < math.inf):
         raise NonPositiveParameter(
-            f"parameters must be positive and finite, got {a!r}, {b!r}")
+            f"need positive a, b with finite a*b and a+b, got {a!r}, {b!r}")
     _check_tol(tol)
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -175,7 +180,6 @@ def ell_shoes(a: float, b: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     small = min(a, b)
     value, err, splits = _adaptive_simpson(
         integrand, max(12.0, 12.0 / small), tol, scale=min(1.0, 1.0 / (a + b)))
-    ab = a * b
     return QuadratureResult(ab / (1.0 + ab) - value, err, splits)
 
 

@@ -4,14 +4,16 @@ Method 1 draws two objects at a time, with no memory, discarding mismatched
 pairs until a draw matches; Method 2 draws one object at a time, keeping
 everything, until some color has been seen twice.  Both procedures stop at
 a same-color pair and so induce a law on colors, and the two laws disagree
-for every non-uniform source.  This module computes both laws exactly,
-their total variation distance, expected draw-count statistics, and two
-independent verification routes: an exhaustive absorption solve over
-subsets of seen colors, and seeded Monte Carlo.
+for every non-uniform source.  This module computes both laws exactly (the
+second as a Poisson integral, by Gauss quadrature), their total variation
+distance, expected draw-count statistics, and two independent verification
+routes: an exhaustive absorption solve over subsets of seen colors, and
+seeded Monte Carlo.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -43,6 +45,11 @@ def _chunk_rows(m: int) -> int:
     across thread counts.
     """
     return min(SIM_CHUNK, max(64, (1 << 26) // (2 * m)))
+
+
+#: The exact rule's largest node is near 2m; past this many colors it
+#: passes t = 490, where prod_j (1 + p_j t) can reach e^t and overflow.
+LAGUERRE_MAX_COLORS = 256
 
 #: Derived laws must renormalize to one at least this well.
 LAW_SUM_TOL = 1e-10
@@ -109,23 +116,80 @@ def derive_m1(d: Distribution) -> PairLaw:
     return PairLaw(M1, tuple(p * p / f2 for p in d.probs))
 
 
-def _scaled_elem_sym(Q: np.ndarray) -> np.ndarray:
-    """E_k = k! * e_k of every column of a colors x rows block.
+def _gauss(diag: np.ndarray, off: np.ndarray,
+           mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights of a Jacobi matrix (diagonal, off-diagonal)
+    for a weight function of total `mass`: its eigenvalues polished by
+    Newton on the orthonormal recurrence q_0..q_n, and the Christoffel
+    weights 1 / sum_{j<n} q_j(t)^2."""
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    scale = np.append(off, 1.0)  # q_n is needed only up to scale
+    for _ in range(3):
+        prev, cur = 0.0, np.full_like(t, mass ** -0.5)
+        dprev = dcur = squares = 0.0
+        for j in range(diag.size):
+            squares = squares + cur * cur
+            back = off[j - 1] if j else 0.0
+            nxt = ((t - diag[j]) * cur - back * prev) / scale[j]
+            dnxt = (cur + (t - diag[j]) * dcur - back * dprev) / scale[j]
+            prev, cur, dprev, dcur = cur, nxt, dcur, dnxt
+        t = t - cur / dcur
+    return t, 1.0 / squares
 
-    E_k is the probability that the first k one-at-a-time draws are all
-    distinct; working in this scaling keeps every table entry in [0, 1],
-    so neither k! overflow nor e_k underflow can occur even for thousands
-    of colors.  Each pass absorbs one color into every column at once;
-    the right-hand side reads the table before the pass, as a
-    descending-k update would.
+
+@functools.lru_cache(maxsize=None)
+def _laguerre(n: int) -> tuple[list[float], list[float]]:
+    """The n-point Gauss rule of the weight e^{-t} on (0, inf)."""
+    rule = _gauss(np.arange(1.0, 2.0 * n, 2.0), np.arange(1.0, n), 1.0)
+    return tuple(v.tolist() for v in rule)
+
+
+@functools.lru_cache(maxsize=None)
+def _panels() -> tuple[np.ndarray, np.ndarray]:
+    """40 panels of the 16-point Gauss-Legendre rule, tiling [0, 1]."""
+    j = np.arange(1.0, 16.0)
+    x, w = _gauss(np.zeros(16), j / np.sqrt(4.0 * j * j - 1.0), 2.0)
+    return ((np.arange(40.0)[:, None] + 0.5 * (x + 1.0)).ravel() / 40.0,
+            np.tile(w / 80.0, 40))
+
+
+def _poisson_sums(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both one-at-a-time sums of each row: with the draws embedded in a
+    rate-1 Poisson process and F(t) = prod_j (1 + p_j t),
+        sum_k k! e_k(p) = integral over t > 0 of e^{-t} F(t),
+        sum_k (k+1)! e_k(p without i) = integral of t e^{-t} F / (1 + p_i t),
+    the first per row, the second per (color, row) of a colors x rows block.
+
+    Up to LAGUERRE_MAX_COLORS colors the floor(m/2) + 1 node
+    Gauss-Laguerre rule has no error; above, 40 Gauss-Legendre panels on
+    [0, 40 / sqrt(f_2) + 40] take factors (1 + p_j t) e^{-p_j t} <= 1,
+    which cannot overflow.  Every node adds positive terms, and only
+    products over one row's colors mix entries.
     """
-    m = Q.shape[0]
-    E = np.zeros((m + 1, Q.shape[1]))
-    E[0] = 1.0
-    k = np.arange(1.0, m + 1.0)[:, None]
-    for j in range(m):
-        E[1:j + 2] += k[:j + 1] * Q[j] * E[:j + 1]
-    return E
+    Q = np.ascontiguousarray(P.T)
+    exact = Q.shape[0] <= LAGUERRE_MAX_COLORS
+    if exact:
+        nodes, weights = _laguerre(Q.shape[0] // 2 + 1)
+    else:  # row sums run along contiguous rows, as in a one-row block
+        P = np.ascontiguousarray(P)
+        unit, unit_weights = _panels()
+        span = 40.0 / np.sqrt(np.square(P).sum(axis=1)) + 40.0
+        nodes = unit[:, None] * span
+        # the damped factors carry e^{-t sum p}; the weights make it e^{-t}
+        weights = unit_weights[:, None] * span * np.exp(
+            nodes * (P.sum(axis=1) - 1.0))
+    acc = np.zeros_like(Q)
+    total = np.zeros(Q.shape[1])
+    X = np.empty_like(Q)
+    for t, w in zip(nodes, weights):
+        np.multiply(Q, t, out=X)
+        X += 1.0
+        F = np.multiply.reduce(X if exact else X * np.exp(1.0 - X), axis=0)
+        F *= w
+        total += F
+        F *= t
+        acc += np.divide(F, X, out=X)
+    return acc, total
 
 
 def _m2_rows(P: np.ndarray) -> np.ndarray:
@@ -134,60 +198,8 @@ def _m2_rows(P: np.ndarray) -> np.ndarray:
     P(Y = i) = p_i^2 * sum_k (k+1)! e_k(p with entry i removed): the k-th
     summand is the chance the first k draws are distinct, avoid color i,
     and draw k+1 then repeats one earlier color, with the repeat being i.
-
-    All arithmetic stays in the scaled space A_k = k! e'_k, where each
-    summand (k+1) A_k is at most k+1.  The leave-one-out downdate runs
-    forward, A_k = E_k - k p_i A_{k-1}, only while the subtracted term
-    stays below E_k / 2, and backward, A_{k-1} = (E_k - A_k) / (k p_i),
-    beyond that point.  The subtracted-term ratio is monotone in k (the
-    scaled table inherits log-concavity from Newton's inequalities), so
-    the two regimes are contiguous and each recurrence runs only where it
-    is a contraction; the backward sweep even self-corrects when E_m has
-    underflowed to zero.
-
-    Every (color, row) entry runs its own switch in one colors x rows
-    block, so the loops are over k alone, and no arithmetic mixes two
-    entries: a row's law does not depend on the rows beside it.  A
-    switched entry's forward value is pinned to zero, which also keeps
-    it from switching again; zero-mass colors never switch and come out
-    exactly zero.
     """
-    m = P.shape[1]
-    Q = np.ascontiguousarray(P.T)
-    E = _scaled_elem_sym(Q)
-    A = np.ones_like(Q)
-    weight = np.ones_like(Q)  # the k = 0 summand, (0 + 1) * A_0
-    t = np.empty_like(Q)
-    switch = np.full(Q.shape, m)
-    live = np.ones(Q.shape, dtype=bool)
-    for k in range(1, m):
-        np.multiply(k, Q, out=t)
-        t *= A
-        fresh = t > 0.5 * E[k]
-        if fresh.any():
-            switch[fresh] = k
-            live[fresh] = False
-            A[fresh] = 0.0
-            if not live.any():
-                break
-        np.subtract(E[k], t, out=A, where=live)
-        np.multiply(k + 1, A, out=t)
-        weight += t
-    lowest = int(switch.min())
-    if lowest < m:
-        back = A  # the forward values are spent; reuse their buffer
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.multiply(m, Q, out=t)
-            np.divide(E[m], t, out=back)
-            for k in range(m - 1, lowest - 1, -1):
-                np.multiply(k + 1, back, out=t)
-                np.add(weight, t, out=weight, where=switch <= k)
-                np.subtract(E[k], back, out=back)
-                np.multiply(k, Q, out=t)
-                back /= t
-    np.multiply(Q, Q, out=t)
-    weight *= t
-    return weight.T
+    return _poisson_sums(P)[0].T * P * P
 
 
 def derive_m2(d: Distribution) -> PairLaw:
@@ -348,10 +360,11 @@ def draw_stats(d: Distribution) -> DrawStats:
     """Expected draw counts of both procedures.
 
     One-at-a-time: E[draws] = sum_k P(first k draws distinct) = sum_k k! e_k,
-    at most m + 1.  Two-at-a-time: rounds are geometric with success f_2.
+    at most m + 1, the Poisson integral of _poisson_sums.  Two-at-a-time:
+    rounds are geometric with success f_2.
     """
     return DrawStats(
-        expected_draws_m2=math.fsum(_scaled_elem_sym(d.as_array()[:, None])[:, 0]),
+        expected_draws_m2=float(_poisson_sums(d.as_array()[None, :])[1][0]),
         expected_pairs_m1=1.0 / match_probability(d),
     )
 

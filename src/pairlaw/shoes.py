@@ -30,6 +30,11 @@ SHOES_EXACT_MAX_COLORS = 10
 #: any realistic trial count.
 HORIZON_SURVIVAL = 1e-12
 
+#: A default horizon past this many steps (each at least one batched draw)
+#: cannot be run out, so it raises ExcessTruncation before the first draw.
+#: witness_family(10^7) needs 2,629,386 steps.
+MAX_HORIZON = 10 ** 8
+
 #: A truncated fraction at or above this fails the run rather than biasing
 #: the estimate quietly.
 TRUNCATION_FRACTION = 1e-6
@@ -157,15 +162,18 @@ def shoes_m2_simulate(sp: ShoePair, trials: int, seed: RngSeed,
     blocks of the one-sequence simulator, so results depend only on
     (pair, trials, seed, max_steps).
     Walks that outlive max_steps (default: the union-bound horizon, per-walk
-    survival below HORIZON_SURVIVAL) are dropped from the tally and counted;
-    a truncated fraction reaching TRUNCATION_FRACTION raises
-    ExcessTruncation, since truncation preferentially discards
-    slow-absorbing colors.
+    survival below HORIZON_SURVIVAL, refused past MAX_HORIZON) are dropped
+    from the tally and counted; a truncated fraction reaching
+    TRUNCATION_FRACTION raises ExcessTruncation, since truncation
+    preferentially discards slow-absorbing colors.
     """
     if trials < 1:
         raise DomainError("trials must be at least 1")
     if max_steps is None:
         max_steps = _default_horizon(sp)
+        if max_steps > MAX_HORIZON:
+            raise ExcessTruncation(f"default horizon of {max_steps} steps "
+                                   f"is past the {MAX_HORIZON}-step cap")
     if max_steps < 2:
         raise DomainError("need at least two steps to complete a pair")
     tables = [_alias_tables(sp.left.probs), _alias_tables(sp.right.probs)]

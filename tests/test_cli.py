@@ -91,6 +91,19 @@ for argv, env in json.loads(sys.argv[1]):
 """
 
 
+def _run_bounded(cases):
+    """[argv, exit code, stdout] of each case, from one child process that
+    a hang fails at the timeout."""
+    src = os.path.dirname(os.path.dirname(pairlaw.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _BAD_INPUT_CHILD, json.dumps(cases)],
+        capture_output=True, text=True, timeout=60, env=env)
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(cases), proc.stderr
+    return results
+
+
 def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
     # each of these once ended in a traceback or never returned; one
     # child runs them all, so a hang fails here at the timeout
@@ -111,16 +124,21 @@ def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
         (["limit", "--kind", "shoes-diag", "--hi", "inf", "--points", "2"], {}),
         (["limit", "--kind", "shoes-grid", "--a", "inf", "--b", "1"], {}),
         (["limit", "--kind", "shoes-grid", "--a", "1", "--b", "nan"], {}),
+        (["limit", "--kind", "socks", "--c", "1e160"], {}),
+        (["limit", "--kind", "shoes-diag", "--a", "1e200"], {}),
     ]
-    src = os.path.dirname(os.path.dirname(pairlaw.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", _BAD_INPUT_CHILD, json.dumps(cases)],
-        capture_output=True, text=True, timeout=60, env=env)
-    results = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert len(results) == len(cases), proc.stderr
-    for argv, code, out in results:
+    for argv, code, out in _run_bounded(cases):
         assert (code, out) == (2, ""), argv
+
+
+def test_infeasible_simulation_exits_4_in_bounded_time():
+    # eleven colors take the simulated path, whose default horizon for a
+    # shared color of left mass 1e-300 is about 5.7e301 steps
+    zeros = ",0" * 9
+    cases = [(["shoes", "derive", "--left", "1e-300,1" + zeros,
+               "--right", "1,0" + zeros, "--trials", "100"], {})]
+    for argv, code, out in _run_bounded(cases):
+        assert (code, out) == (4, ""), argv
 
 
 def test_json_envelope_and_csv_agree_byte_for_byte(capsys):

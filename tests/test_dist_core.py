@@ -1,8 +1,9 @@
-"""Validated vectors, symmetric-function tables, and seeded sampling.
+"""Validated vectors, symmetric-function sums, and seeded sampling.
 
-The symmetric-function tables and the leave-one-out downdate live inside
-the m2 kernel of pair_laws; they are checked here through _scaled_elem_sym
-and through derive_m2 entries against a subtraction-free fold.
+The symmetric-function sums and their leave-one-out forms live inside the
+Poisson-integral kernel of pair_laws; they are checked here through
+draw_stats against a scalar table, and through derive_m2 entries against a
+subtraction-free fold.
 """
 
 import math
@@ -11,9 +12,8 @@ import numpy as np
 import pytest
 
 from pairlaw import (BadSum, DomainError, Empty, NegativeEntry, RngSeed,
-                     derive_m2, validate)
+                     derive_m2, draw_stats, validate)
 from pairlaw.dist_core import _alias_draw, _alias_tables, _sorted_simplex_rows
-from pairlaw.pair_laws import _scaled_elem_sym
 
 
 def test_validate_accepts_the_basic_examples():
@@ -50,33 +50,29 @@ def test_zero_entries_are_kept():
     assert len(d) == 3 and d.probs[1] == 0.0
 
 
-def _column(values):
-    return np.asarray(values, dtype=float)[:, None]
+def _expected_draws(values):
+    return draw_stats(validate(values)).expected_draws_m2
 
 
 def test_elem_sym_two_colors():
-    E = _scaled_elem_sym(_column([0.75, 0.25]))
-    assert E.shape == (3, 1)
-    assert E[:, 0].tolist() == [1.0, 1.0, 0.375]
+    # sum_k k! e_k = 1 + 1 + 2 * 0.1875 = 19/8
+    assert abs(_expected_draws([0.75, 0.25]) - 2.375) < 1e-15
 
 
 def test_elem_sym_three_colors():
-    E = _scaled_elem_sym(_column([0.5, 0.3, 0.2]))[:, 0]
-    assert E[0] == 1.0
-    assert abs(E[1] - 1.0) < 1e-15
-    assert abs(E[2] - 2 * 0.31) < 1e-15
-    assert abs(E[3] - 6 * 0.03) < 1e-15
+    # 1 + 1 + 2 * 0.31 + 6 * 0.03 = 14/5
+    assert abs(_expected_draws([0.5, 0.3, 0.2]) - 2.8) < 1e-15
 
 
 def test_elem_sym_uniform_four_is_binomial():
-    E = _scaled_elem_sym(_column([0.25] * 4))[:, 0]
-    for k in range(5):
-        want = math.factorial(k) * math.comb(4, k) / 4 ** k
-        assert abs(E[k] - want) < 1e-15
+    want = math.fsum(math.factorial(k) * math.comb(4, k) / 4 ** k
+                     for k in range(5))
+    assert want == 3.21875
+    assert abs(_expected_draws([0.25] * 4) - want) < 1e-15
 
 
 def _scalar_scaled_elem_sym(values):
-    # the one-entry-at-a-time, descending-k loop the block update replaces
+    # E_k = k! e_k by the one-entry-at-a-time, descending-k loop
     E = [1.0] + [0.0] * len(values)
     for seen, p in enumerate(values):
         for k in range(seen + 1, 0, -1):
@@ -85,25 +81,15 @@ def _scalar_scaled_elem_sym(values):
 
 
 def test_elem_sym_invariants_on_fuzz():
-    # E_k = k! e_k, one column per source of a colors x sources block
+    # the expected draw count is sum_k k! e_k, a sum of probabilities
     rng = np.random.default_rng(21)
     for _ in range(100):
         m = int(rng.integers(1, 40))
-        block = rng.dirichlet(np.ones(m), size=3).T
-        E = _scaled_elem_sym(block)
-        assert E.shape == (m + 1, 3)
-        for col, probs in zip(E.T, block.T):
-            # same arithmetic in the same order: bit for bit
-            assert col.tolist() == _scalar_scaled_elem_sym(probs.tolist())
-            assert col[0] == 1.0
-            assert all(v >= 0.0 for v in col)
-            assert abs(col[1] - math.fsum(probs)) < 1e-12
-            # Maclaurin-type bound e_k <= e_1^k / k!
-            for k, v in enumerate(col):
-                assert v <= col[1] ** k * (1 + 1e-9)
-            # k! e_k is a probability; their sum counts expected distinct draws
-            assert all(v <= 1 + 1e-12 for v in col)
-            assert math.fsum(col) >= 1.0
+        probs = rng.dirichlet(np.ones(m)).tolist()
+        got = _expected_draws(probs)
+        want = math.fsum(_scalar_scaled_elem_sym(probs))
+        assert abs(got - want) <= 1e-13 * want
+        assert 2.0 <= got <= m + 1 + 1e-12
 
 
 def test_leave_one_out_examples():
@@ -143,17 +129,16 @@ def _loo_vs_fold(d):
 
 def test_leave_one_out_downdate_matches_recompute():
     rng = np.random.default_rng(3)
-    for m in (1, 2, 3, 7, 40, 200):
+    for m in (1, 2, 3, 7, 40, 200, 300):
         d = validate(sorted(rng.dirichlet(np.ones(m)).tolist(), reverse=True))
         _loo_vs_fold(d)
 
 
 def test_leave_one_out_survives_a_dominant_entry():
-    # a huge head entry is the hard case for the forward downdate
-    n = 200
+    # a head of mass 1 - 1e-9 beside tiny tails: entries span 22 decades
     head = 1.0 - 1e-9
-    d = validate([head] + [(1.0 - head) / n] * n)
-    _loo_vs_fold(d)
+    for n in (200, 300):
+        _loo_vs_fold(validate([head] + [(1.0 - head) / n] * n))
 
 
 def _simplex_rows(m, count, seed):

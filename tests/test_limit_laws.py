@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from pairlaw import (DomainError, NonPositiveC, NonPositiveParameter,
-                     QuadratureResult, convergence_check, ell, ell_argmax,
-                     ell_shoes, ell_shoes_diag_argmax)
+                     QuadratureResult, ToleranceNotMet, convergence_check, ell,
+                     ell_argmax, ell_shoes, ell_shoes_diag_argmax)
+from pairlaw.limit_laws import _adaptive_simpson
 
 ELL_MAX_C = 1.5139940757525916
 ELL_MAX_VALUE = 0.1832000624087106
@@ -61,6 +62,32 @@ def test_ell_input_validation():
         ell_shoes(1.0, 0.0)
     with pytest.raises(NonPositiveParameter):
         ell_shoes(-2.0, 1.0)
+
+
+def test_parameters_whose_products_overflow_are_rejected():
+    # c * c = inf once turned the integrand to NaN
+    with pytest.raises(NonPositiveC):
+        ell(1e160)
+    with pytest.raises(NonPositiveParameter):
+        ell_shoes(1e200, 1e200)
+    with pytest.raises(NonPositiveParameter):
+        ell_shoes(1e300, 1e10)
+    with pytest.raises(NonPositiveParameter):
+        ell_shoes(1e308, 1e308)  # the sum overflows as well
+
+
+def test_non_finite_error_estimate_fails_fast():
+    # without the check, each pass would double the NaN intervals; the
+    # size guard turns such a regression into a failure, not a memory drain
+    def flat(value):
+        def f(t):
+            assert t.size < 10_000
+            return np.full_like(t, value)
+        return f
+
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ToleranceNotMet), np.errstate(invalid="ignore"):
+            _adaptive_simpson(flat(bad), 12.0, 1e-12, 1.0)
 
 
 def test_tolerance_is_honored_and_consistent():

@@ -9,7 +9,9 @@ from pairlaw import (DomainError, DrawStats, PairLaw, RngSeed, SimReport,
                      TooManyColors, derive_m1, derive_m2, discrepancy,
                      draw_stats, m2_oracle_exact, m2_simulate,
                      match_probability, tvd, validate)
-from pairlaw.pair_laws import _m2_rows
+from pairlaw import pair_laws
+from pairlaw.family_opt import FamilyPoint, family_discrepancy
+from pairlaw.pair_laws import _m2_rows, _poisson_sums
 
 SKEW = validate([0.75, 0.25])
 TRIPLE = validate([0.5, 0.3, 0.2])
@@ -216,9 +218,9 @@ def test_simulation_feeds_tvd():
 
 def test_row_kernel_rows_are_independent():
     # every row of a block comes out bit for bit as its own one-row call,
-    # whatever switch pattern the rows beside it follow
+    # whatever the rows beside it hold, on both quadrature rules
     rng = np.random.default_rng(17)
-    for m in range(2, 13):
+    for m in [*range(2, 13), 300]:
         block = np.array([rng.dirichlet(np.full(m, alpha))
                           for alpha in rng.uniform(0.1, 3.0, size=24)])
         block[0] = 1.0 / m
@@ -233,3 +235,25 @@ def test_large_color_count_stays_stable():
     law = derive_m2(d)
     assert abs(math.fsum(law.probs) - 1.0) < 1e-10
     assert max(abs(q - 1.0 / m) for q in law.probs) < 1e-12
+
+
+def test_panel_rule_matches_the_family_closed_form():
+    # 10^5 colors: only the panel rule reaches this size, and the closed
+    # form shares no code with it
+    n = 99_999
+    fp = FamilyPoint(n, 1.514 / math.sqrt(n))
+    assert abs(discrepancy(fp.realize()) - family_discrepancy(fp)) < 1e-12
+
+
+def test_laguerre_and_panel_rules_agree(monkeypatch):
+    # the two rules integrate the same functions; a zero cut sends every
+    # size to the panel rule
+    rng = np.random.default_rng(64)
+    blocks = [rng.dirichlet(np.full(m, alpha), size=4)
+              for m in (64, 100, 150, 200, 256) for alpha in (0.3, 1.0, 3.0)]
+    exact = [_poisson_sums(block) for block in blocks]
+    monkeypatch.setattr(pair_laws, "LAGUERRE_MAX_COLORS", 0)
+    for block, (sums, totals) in zip(blocks, exact):
+        panel, panel_totals = _poisson_sums(block)
+        assert np.all(np.abs(panel - sums) <= 1e-13 * sums)
+        assert np.all(np.abs(panel_totals - totals) <= 1e-13 * totals)

@@ -10,6 +10,8 @@ from pairlaw import (DomainError, ExcessTruncation, IndexMismatch,
                      shoes_discrepancy, shoes_m1, shoes_m2_exact,
                      shoes_m2_simulate, shoes_match_probability, sup_one_demo,
                      tvd, validate, witness_family)
+from pairlaw import shoes
+from pairlaw.shoes import MAX_HORIZON, _default_horizon
 
 DIAG_SKEW = ShoePair(validate([0.75, 0.25]), validate([0.75, 0.25]))
 TRIPLE = validate([0.5, 0.3, 0.2])
@@ -130,6 +132,23 @@ def test_excess_truncation_is_raised():
         shoes_m2_simulate(DIAG_TRIPLE, 10_000, RngSeed(1), 2)
     with pytest.raises(DomainError):
         shoes_m2_simulate(DIAG_TRIPLE, 10_000, RngSeed(1), 1)
+
+
+def test_infeasible_default_horizon_is_refused_before_any_draw(monkeypatch):
+    # the only shared color has left mass 1e-300: the union-bound horizon
+    # is about 5.7e301 steps, and the walks would never absorb
+    def no_walks(*args):
+        raise AssertionError("walks started")
+
+    monkeypatch.setattr(shoes, "_walks", no_walks)
+    sp = ShoePair(validate([1e-300, 1.0]), validate([1.0, 0.0]))
+    with pytest.raises(ExcessTruncation):
+        shoes_m2_simulate(sp, 100, RngSeed(1))
+    # witness_family(10^7) shares its largest min(p_i, q_i), the right head
+    # mass n^(-2/3), with this two-color pair, so it gets the same horizon
+    b = 1e7 ** (-2.0 / 3.0)
+    near = ShoePair(validate([1.0, 0.0]), validate([b, 1.0 - b]))
+    assert _default_horizon(near) == 2_629_386 <= MAX_HORIZON
 
 
 def test_simulation_determinism_and_thread_invariance():
