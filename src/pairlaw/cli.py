@@ -145,11 +145,13 @@ def _ticks(args) -> list[float]:
 def _limit_curve(args, name: str, point, argmax) -> tuple[dict, list, list]:
     """A one-parameter limit curve: its argmax, the point named by --<name>,
     or its table over the ticks."""
+    x = getattr(args, name)
     if args.argmax:
+        if x is not None:
+            raise InputError(f"--argmax locates the maximum; drop --{name}")
         opt = argmax(args.tol)
         return {"mode": "argmax"}, ["argmax", "value", "evaluations"], \
             [[opt.argmax, opt.value, opt.evaluations]]
-    x = getattr(args, name)
     if x is not None:
         r = point(x, args.tol)
         return {"mode": "point", name: x}, \

@@ -4,8 +4,12 @@ Along the one-heavy-color family with head mass x = c / sqrt(n), the
 discrepancy converges as n grows to a function ell(c) given by a
 Gaussian-damped integral; the alternating left/right variant has an
 analogous two-parameter surface ell(a, b).  This module evaluates both to
-a requested tolerance with adaptive quadrature, locates their maxima, and
-checks finite-n family values against the limit.
+a requested tolerance with adaptive quadrature, and checks finite-n family
+values against the limit.  Both integrals also have closed forms in the
+scaled Gaussian Mills ratio, and so do their slopes: the maxima
+c* = 1.513994072132 and a* = 1.562239440915 (diagonal a = b) are the roots
+of those slopes, bisected to adjacent floats, with the quadrature as the
+closed forms' independent check.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._optim import maximize_scalar
-from .errors import DomainError, NonPositiveC, NonPositiveParameter, ToleranceNotMet
+from ._optim import bracket_peak
+from .errors import (DomainError, NonPositiveC, NonPositiveParameter,
+                     ToleranceNotMet, UnimodalityError)
 from .family_opt import FamilyPoint, OptResult, family_discrepancy
 
 DEFAULT_TOL = 1e-12
@@ -28,10 +33,13 @@ MIN_TOL = 1e-14
 #: (0, 50); beyond, they decay like 1/c^2 toward zero.
 SEARCH_HI = 50.0
 ARGMAX_GRID = 256
-ARGMAX_WIDTH = 1e-8
-ARGMAX_STEP = 1e-4
-#: Coarse evaluation tolerance used during argmax grid scans only.
-SCAN_TOL_FLOOR = 1e-9
+
+#: The Mills ratio comes from erfc below this argument and from its
+#: continued fraction above, where 16 + 512 / x^2 terms reach full
+#: precision.  Above it, erfc's few-ulp error would grow through the
+#: forward recurrence (7e-15 relative in I_3 at x = 1.5) and erfc itself
+#: underflows past x = 38.
+MILLS_SWITCH = 1.0
 
 #: Interval-split depth cap of the adaptive quadrature.
 MAX_DEPTH = 50
@@ -41,6 +49,10 @@ MAX_DEPTH = 50
 #: itself carries no usable rate).
 GAP_AT_1E4 = 5e-3
 GAP_AT_1E6 = 5e-4
+
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_TWO = math.sqrt(2.0)
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -139,26 +151,6 @@ def ell(c: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     return QuadratureResult(cc / (1.0 + cc) - value, err, splits)
 
 
-def _curve_argmax(curve: Callable[[float, float], QuadratureResult],
-                  tol: float) -> OptResult:
-    """Location and value of the maximum of curve(x, tol).value on
-    (0, SEARCH_HI): a coarse scan at a looser tolerance, then a refinement
-    at tol."""
-    if not tol >= 1e-12:
-        raise DomainError(f"argmax tolerance {tol!r} below the 1e-12 floor")
-    scan_tol = max(1e4 * tol, SCAN_TOL_FLOOR)
-    result = maximize_scalar(
-        lambda x: curve(x, tol).value, 0.0, SEARCH_HI,
-        grid=ARGMAX_GRID, width=ARGMAX_WIDTH, step=ARGMAX_STEP,
-        scan_f=lambda x: curve(x, scan_tol).value)
-    return OptResult(*result)
-
-
-def ell_argmax(tol: float = DEFAULT_TOL) -> OptResult:
-    """Location and value of the maximum of ell."""
-    return _curve_argmax(ell, tol)
-
-
 def ell_shoes(a: float, b: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """The alternating-pairs limit surface.
 
@@ -183,9 +175,103 @@ def ell_shoes(a: float, b: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     return QuadratureResult(ab / (1.0 + ab) - value, err, splits)
 
 
+def _mills_moments(x: float) -> tuple[float, float, float, float]:
+    """I_k(x) = integral over s > 0 of s^k exp(-x s - s^2 / 2) ds, k = 0..3.
+
+    I_0 = R(x) = sqrt(pi / 2) e^{x^2 / 2} erfc(x / sqrt(2)) is the scaled
+    Gaussian Mills ratio.  Integration by parts against
+    d/ds e^{-x s - s^2/2} = -(x + s) e^{-x s - s^2/2} gives I_1 = 1 - x I_0
+    and I_{k+1} = k I_{k-1} - x I_k, so the ratios rho_k = I_k / I_{k-1}
+    obey rho_k = k / (x + rho_{k+1}): the continued fraction
+    R(x) = 1 / (x + 1 / (x + 2 / (x + 3 / ...))).  Below MILLS_SWITCH the
+    recurrence runs forward from erfc; above, the fraction runs backward
+    and each moment is a product of ratios, with no subtraction at all.
+    """
+    if x < MILLS_SWITCH:
+        i0 = _SQRT_HALF_PI * math.exp(0.5 * x * x) * math.erfc(x * _SQRT_HALF)
+        i1 = 1.0 - x * i0
+        i2 = i0 - x * i1
+        return i0, i1, i2, 2.0 * i1 - x * i2
+    r1 = r2 = r3 = 0.0
+    for k in range(16 + int(512.0 / (x * x)), 0, -1):
+        r1, r2, r3 = k / (x + r1), r1, r2
+    i0 = 1.0 / (x + r1)
+    i1 = i0 * r1
+    i2 = i1 * r2
+    return i0, i1, i2, i2 * r3
+
+
+def _ell_closed(c: float) -> float:
+    """ell(c) = c^2 / (1 + c^2) - c^2 (1 - c R(c)), where 1 - c R(c) = I_1(c)."""
+    cc = c * c
+    return cc / (1.0 + cc) - cc * _mills_moments(c)[1]
+
+
+def _ell_slope(c: float) -> float:
+    """d ell / dc = 2c / (1 + c^2)^2 - c I_3(c), since dI_k/dc = -I_{k+1}
+    and 2 I_1 - c I_2 = I_3."""
+    return 2.0 * c / (1.0 + c * c) ** 2 - c * _mills_moments(c)[3]
+
+
+def _ell_shoes_closed(a: float, b: float) -> float:
+    """ell(a, b) = a b / (1 + a b) - [a S(a) + b S(b) - (a + b) S(a + b)]
+    with S(x) = integral of e^{-x t - t^2} = R(x / sqrt 2) / sqrt 2.
+
+    Since x S(x) = 1 - I_1(x / sqrt 2), this is
+    I_1(a') + I_1(b') - I_1(a' + b') - 1 / (1 + a b) with x' = x / sqrt 2.
+    """
+    return (_mills_moments(a * _SQRT_HALF)[1] + _mills_moments(b * _SQRT_HALF)[1]
+            - _mills_moments((a + b) * _SQRT_HALF)[1] - 1.0 / (1.0 + a * b))
+
+
+def _ell_shoes_diag_slope(a: float) -> float:
+    """d ell(a, a) / da = 2a / (1 + a^2)^2
+    - sqrt 2 [I_2(a / sqrt 2) - I_2(a sqrt 2)]."""
+    return (2.0 * a / (1.0 + a * a) ** 2
+            - _SQRT_TWO * (_mills_moments(a * _SQRT_HALF)[2]
+                           - _mills_moments(a * _SQRT_TWO)[2]))
+
+
+def _curve_argmax(curve: Callable[[float], float],
+                  slope: Callable[[float], float], tol: float) -> OptResult:
+    """Location and value of the maximum of a closed-form curve on
+    (0, SEARCH_HI).
+
+    A grid scan brackets the peak; the exact slope must be positive at
+    the bracket's left end and negative at its right, and bisection on its
+    sign then narrows the bracket to adjacent floats, the right one the
+    argmax.  tol only keeps its floor check: the answer is the same at
+    every tolerance.
+    """
+    if not tol >= 1e-12:
+        raise DomainError(f"argmax tolerance {tol!r} below the 1e-12 floor")
+    lo, hi = bracket_peak(curve, 0.0, SEARCH_HI, ARGMAX_GRID)
+    if not slope(lo) > 0.0 > slope(hi):
+        raise UnimodalityError(
+            f"the slope does not change sign across [{lo!r}, {hi!r}]")
+    evals = ARGMAX_GRID + 2
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        evals += 1
+        mid = 0.5 * (lo + hi)
+    return OptResult(hi, curve(hi), (lo, hi), evals + 1)
+
+
+def ell_argmax(tol: float = DEFAULT_TOL) -> OptResult:
+    """Location and value of the maximum of ell: the root of its
+    closed-form slope."""
+    return _curve_argmax(_ell_closed, _ell_slope, tol)
+
+
 def ell_shoes_diag_argmax(tol: float = DEFAULT_TOL) -> OptResult:
-    """Maximum of the alternating-pairs surface along its diagonal a = b."""
-    return _curve_argmax(lambda a, t: ell_shoes(a, a, t), tol)
+    """Maximum of the alternating-pairs surface along its diagonal a = b:
+    the root of its closed-form slope."""
+    return _curve_argmax(lambda a: _ell_shoes_closed(a, a),
+                         _ell_shoes_diag_slope, tol)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,9 @@ SHOES_EXACT_MAX_COLORS = 10
 #: any realistic trial count.
 HORIZON_SURVIVAL = 1e-12
 
-#: A default horizon past this many steps (each at least one batched draw)
-#: cannot be run out, so it raises ExcessTruncation before the first draw.
+#: A horizon past this many steps (each at least one batched draw) cannot
+#: be run out, so it is refused before the first draw: a default one with
+#: ExcessTruncation, an explicit one with DomainError.
 #: witness_family(10^7) needs 2,629,386 steps.
 MAX_HORIZON = 10 ** 8
 
@@ -162,8 +163,8 @@ def shoes_m2_simulate(sp: ShoePair, trials: int, seed: RngSeed,
     blocks of the one-sequence simulator, so results depend only on
     (pair, trials, seed, max_steps).
     Walks that outlive max_steps (default: the union-bound horizon, per-walk
-    survival below HORIZON_SURVIVAL, refused past MAX_HORIZON) are dropped
-    from the tally and counted; a truncated fraction reaching
+    survival below HORIZON_SURVIVAL; either kind refused past MAX_HORIZON)
+    are dropped from the tally and counted; a truncated fraction reaching
     TRUNCATION_FRACTION raises ExcessTruncation, since truncation
     preferentially discards slow-absorbing colors.
     """
@@ -174,6 +175,9 @@ def shoes_m2_simulate(sp: ShoePair, trials: int, seed: RngSeed,
         if max_steps > MAX_HORIZON:
             raise ExcessTruncation(f"default horizon of {max_steps} steps "
                                    f"is past the {MAX_HORIZON}-step cap")
+    elif max_steps > MAX_HORIZON:
+        raise DomainError(f"max_steps {max_steps} is past the "
+                          f"{MAX_HORIZON}-step cap")
     if max_steps < 2:
         raise DomainError("need at least two steps to complete a pair")
     tables = [_alias_tables(sp.left.probs), _alias_tables(sp.right.probs)]

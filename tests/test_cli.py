@@ -126,6 +126,11 @@ def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
         (["limit", "--kind", "shoes-grid", "--a", "1", "--b", "nan"], {}),
         (["limit", "--kind", "socks", "--c", "1e160"], {}),
         (["limit", "--kind", "shoes-diag", "--a", "1e200"], {}),
+        # an explicit horizon past the step cap on a pair whose walks
+        # almost never absorb
+        (["shoes", "derive", "--left", "1e-300,1" + ",0" * 9,
+          "--right", "1,0" + ",0" * 9, "--trials", "100",
+          "--max-steps", "1000000000000"], {}),
     ]
     for argv, code, out in _run_bounded(cases):
         assert (code, out) == (2, ""), argv
@@ -234,6 +239,12 @@ def test_limit_flag_conflicts_exit_2(capsys):
     code, _, err = run(capsys, "limit", "--kind", "shoes-grid", "--a", "1.0")
     assert code == 2 and "InputError" in err
     code, _, err = run(capsys, "limit", "--kind", "shoes-diag", "--c", "1.0")
+    assert code == 2 and "InputError" in err
+    # --argmax ignores no point: it refuses one
+    code, _, err = run(capsys, "limit", "--kind", "socks", "--argmax", "--c", "1.0")
+    assert code == 2 and "InputError" in err
+    code, _, err = run(capsys, "limit", "--kind", "shoes-diag", "--argmax",
+                       "--a", "1.0")
     assert code == 2 and "InputError" in err
 
 

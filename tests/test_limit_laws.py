@@ -1,17 +1,27 @@
 """Limit curves: quadrature accuracy, maxima, finite-size convergence."""
 
+import math
+
 import numpy as np
 import pytest
 
 from pairlaw import (DomainError, NonPositiveC, NonPositiveParameter,
                      QuadratureResult, ToleranceNotMet, convergence_check, ell,
                      ell_argmax, ell_shoes, ell_shoes_diag_argmax)
-from pairlaw.limit_laws import _adaptive_simpson
+from pairlaw.limit_laws import (_adaptive_simpson, _ell_closed, _ell_shoes_closed,
+                                _ell_shoes_diag_slope, _ell_slope)
 
 ELL_MAX_C = 1.5139940757525916
 ELL_MAX_VALUE = 0.1832000624087106
 SHOES_DIAG_MAX_A = 1.5622394444551926
 SHOES_DIAG_MAX_VALUE = 0.1998086740531225
+
+#: The roots of both slopes and the curves there, by mpmath.findroot and
+#: mpmath.quad at 40 digits.
+EXACT_C = 1.5139940721324004
+EXACT_ELL = 0.18320006240871061
+EXACT_A = 1.5622394409147175
+EXACT_DIAG = 0.19980867405313229
 
 
 def _simpson_reference(f, upper, panels=1 << 20):
@@ -128,6 +138,56 @@ def test_argmax_tolerance_floor():
         ell_argmax(tol=1e-13)
     with pytest.raises(DomainError):
         ell_shoes_diag_argmax(tol=1e-13)
+
+
+def test_limit_constants_to_full_precision():
+    for argmax, where, peak in ((ell_argmax, EXACT_C, EXACT_ELL),
+                                (ell_shoes_diag_argmax, EXACT_A, EXACT_DIAG)):
+        r = argmax()
+        assert abs(r.argmax - where) < 1e-12
+        assert abs(r.value - peak) < 1e-15
+        assert r.evaluations > 256
+        # the tolerance is only floor-checked: the point is the same
+        assert argmax(tol=1e-6) == r
+
+
+def test_closed_forms_match_the_quadrature():
+    # the adaptive quadrature shares no code with the Mills-ratio forms
+    for c in np.geomspace(0.01, 50.0, 49):
+        assert abs(_ell_closed(c) - ell(c).value) < 1e-12, c
+    grid = np.geomspace(0.01, 50.0, 9)
+    pairs = [(a, b) for a in grid for b in grid] + [(0.07, 11.0), (40.0, 45.0)]
+    for a, b in pairs:
+        assert abs(_ell_shoes_closed(a, b) - ell_shoes(a, b).value) < 1e-12, (a, b)
+
+
+def test_slopes_are_derivatives_of_the_closed_forms():
+    h = 1e-5
+    for x in (0.05, 0.7, 1.0, 1.5, 3.0, 12.0, 40.0):
+        quotient = (_ell_closed(x + h) - _ell_closed(x - h)) / (2 * h)
+        assert abs(quotient - _ell_slope(x)) < 1e-9, x
+        quotient = (_ell_shoes_closed(x + h, x + h)
+                    - _ell_shoes_closed(x - h, x - h)) / (2 * h)
+        assert abs(quotient - _ell_shoes_diag_slope(x)) < 1e-9, x
+
+
+def test_slope_changes_sign_across_each_argmax():
+    for argmax, slope in ((ell_argmax, _ell_slope),
+                          (ell_shoes_diag_argmax, _ell_shoes_diag_slope)):
+        r = argmax()
+        lo, hi = r.bracket
+        assert lo <= r.argmax <= hi and hi == math.nextafter(lo, math.inf)
+        assert slope(lo) > 0.0 >= slope(hi)
+        assert slope(r.argmax - 1e-9) > 0.0 > slope(r.argmax + 1e-9)
+
+
+def test_witness_family_climbs_the_limit_surface():
+    # witness_family(n) sits at (a, b) = (n^(1/4), n^(-1/6)) on the surface
+    values = [ell_shoes(n ** 0.25, n ** (-1 / 6)).value
+              for n in (10 ** 2, 10 ** 3, 10 ** 4)]
+    assert values[0] < values[1] < values[2]
+    for got, want in zip(values, (0.297, 0.408, 0.514)):
+        assert abs(got - want) < 1e-3
 
 
 def test_convergence_gaps_shrink():

@@ -3,7 +3,7 @@
 import pytest
 
 from pairlaw import UnimodalityError
-from pairlaw._optim import maximize_scalar
+from pairlaw._optim import bracket_peak, maximize_scalar
 
 
 def test_quadratic_is_nailed():
@@ -37,23 +37,22 @@ def test_lopsided_twin_peaks_accepted():
     assert abs(argmax - 0.6) < 1e-6
 
 
-def test_scan_function_is_used_for_the_scan_only():
-    scan_calls = []
-    fine_calls = []
+def test_bracket_peak_scans_the_grid_once():
+    calls = []
 
-    def coarse(x):
-        scan_calls.append(x)
+    def f(x):
+        calls.append(x)
         return -(x - 2.0) ** 2
 
-    def fine(x):
-        fine_calls.append(x)
-        return -(x - 2.0) ** 2
-
+    lo, hi = bracket_peak(f, 0.0, 5.0, 32)
+    assert len(calls) == 32
+    assert lo < 2.0 < hi
+    assert hi - lo == pytest.approx(2 * 5.0 / 32)
+    # the scan is the first `grid` evaluations of the maximizer
+    calls.clear()
     argmax, _, _, evals = maximize_scalar(
-        fine, 0.0, 5.0, grid=32, width=1e-10, step=1e-5, scan_f=coarse)
-    assert len(scan_calls) == 32
-    assert all(x not in scan_calls for x in fine_calls)
-    assert evals == len(scan_calls) + len(fine_calls)
+        f, 0.0, 5.0, grid=32, width=1e-10, step=1e-5)
+    assert evals == len(calls) > 32
     assert abs(argmax - 2.0) < 1e-8
 
 
