@@ -13,10 +13,10 @@ __version__ = "0.1.0"
 
 from .dist_core import Distribution, RngSeed, validate
 from .errors import (BadSum, DomainError, Empty, ExcessTruncation,
-                     IndexMismatch, InputError, InvalidPair, NegativeEntry,
-                     NoSignChange, NonPositiveC, NonPositiveParameter,
-                     NTooSmall, PairLawError, ToleranceNotMet, TooManyColors,
-                     UnimodalityError)
+                     IndexMismatch, InputError, InternalFault, InvalidPair,
+                     NegativeEntry, NoSignChange, NonPositiveC,
+                     NonPositiveParameter, NTooSmall, PairLawError,
+                     ToleranceNotMet, TooManyColors, UnimodalityError)
 from .family_opt import (THREE_COLOR_ARGMAX, THREE_COLOR_DOUBLED_MAX,
                          TWO_COLOR_STATIONARY, FamilyCurveRow, FamilyPoint,
                          OptResult, PolySpec, exact_two_color_extreme,
@@ -57,4 +57,5 @@ __all__ = [
     "TooManyColors", "IndexMismatch", "DomainError",
     "NoSignChange", "NonPositiveC", "NonPositiveParameter", "InvalidPair",
     "NTooSmall", "ToleranceNotMet", "ExcessTruncation", "UnimodalityError",
+    "InternalFault",
 ]

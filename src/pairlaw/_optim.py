@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import UnimodalityError
 
@@ -15,47 +17,52 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 MODE_GUARD = 1e-12
 
 
-def bracket_peak(f: Callable[[float], float], lo: float, hi: float,
-                 grid: int) -> tuple[float, float]:
+def bracket_peak(f: Callable[[np.ndarray], Sequence[float]], lo: float,
+                 hi: float, grid: int) -> tuple[float, float]:
     """Bracket the global maximum of f on the open interval (lo, hi).
 
-    Scans f at `grid` midpoints and returns the grid neighbours of the
-    best one (an interval end stands in for a missing neighbour).  Raises
-    UnimodalityError if any other strict interior grid mode comes within
-    MODE_GUARD of the best.
+    Calls f once, on the array of `grid` midpoints, and returns the grid
+    neighbours of the best one (an interval end stands in for a missing
+    neighbour; the first of tied bests wins).  Raises UnimodalityError if
+    any other strict interior grid mode comes within MODE_GUARD of the
+    best.
     """
     span = hi - lo
-    xs = [lo + span * (i + 0.5) / grid for i in range(grid)]
-    vs = [f(x) for x in xs]
-    best = max(range(grid), key=vs.__getitem__)
-    for i in range(1, grid - 1):
-        if (abs(i - best) > 1 and vs[i] > vs[i - 1] and vs[i] > vs[i + 1]
-                and vs[i] >= vs[best] - MODE_GUARD):
-            raise UnimodalityError(f"competing mode near argument {xs[i]!r}")
-    return (xs[best - 1] if best > 0 else lo,
-            xs[best + 1] if best < grid - 1 else hi)
+    xs = lo + span * (np.arange(grid) + 0.5) / grid
+    vs = np.asarray(f(xs), dtype=float)
+    best = int(np.argmax(vs))
+    inner = np.arange(1, grid - 1)
+    rival = ((np.abs(inner - best) > 1) & (vs[1:-1] > vs[:-2])
+             & (vs[1:-1] > vs[2:]) & (vs[1:-1] >= vs[best] - MODE_GUARD))
+    if rival.any():
+        at = float(xs[inner[rival][0]])
+        raise UnimodalityError(f"competing mode near argument {at!r}")
+    return (float(xs[best - 1]) if best > 0 else lo,
+            float(xs[best + 1]) if best < grid - 1 else hi)
 
 
-def maximize_scalar(f: Callable[[float], float], lo: float, hi: float, *,
-                    grid: int, width: float, step: float,
+def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
+                    bracket: tuple[float, float], *, scanned: int,
+                    width: float, step: float,
                     ) -> tuple[float, float, tuple[float, float], int]:
-    """Maximize f on the open interval (lo, hi).
+    """Maximize f on the open interval (lo, hi), given a bracket of its
+    global maximum from a bracket_peak scan of `scanned` points.
 
-    bracket_peak brackets the global maximum.  Golden section then
-    narrows the bracket to `width`, and one three-point parabolic fit at
-    spacing `step` pulls the argmax below the flat-top noise floor that
-    value comparisons alone cannot resolve.
+    Golden section narrows the bracket to `width`, and one three-point
+    parabolic fit at spacing `step` pulls the argmax below the flat-top
+    noise floor that value comparisons alone cannot resolve.
 
-    Returns (argmax, value, bracket, evaluations).
+    Returns (argmax, value, bracket, evaluations); the evaluations count
+    the scan.
     """
-    evals = grid
+    evals = scanned
 
     def counted(x: float) -> float:
         nonlocal evals
         evals += 1
         return f(x)
 
-    a, b = bracket_peak(f, lo, hi, grid)
+    a, b = bracket
     h = b - a
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h

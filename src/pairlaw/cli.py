@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .dist_core import Distribution, RngSeed, validate
-from .errors import (ExcessTruncation, InputError, ToleranceNotMet,
-                     UnimodalityError)
+from .errors import (ExcessTruncation, InputError, InternalFault,
+                     ToleranceNotMet, UnimodalityError)
 from .family_opt import family_argmax, figure_family_curves, simplex_search
 from .limit_laws import (DEFAULT_TOL, ell, ell_argmax, ell_shoes,
                          ell_shoes_diag_argmax)
@@ -30,7 +30,7 @@ from .shoes import (SHOES_EXACT_MAX_COLORS, ShoePair, shoes_m1,
 
 #: Process exit code of each family of deliberate library errors.
 EXIT_CODES = {InputError: 2, ToleranceNotMet: 3, UnimodalityError: 3,
-              ExcessTruncation: 4}
+              ExcessTruncation: 4, InternalFault: 5}
 
 
 @dataclass(frozen=True)

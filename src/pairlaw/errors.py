@@ -3,7 +3,8 @@
 Everything raised on purpose derives from PairLawError.  The command line
 front end maps the leaf groups onto process exit codes: input validation
 problems (exit 2), numerical tolerance failures and competing maxima
-(exit 3), and simulation truncation overflow (exit 4).
+(exit 3), simulation truncation overflow (exit 4), and internal faults
+that no input should provoke (exit 5).
 """
 
 
@@ -70,3 +71,8 @@ class ExcessTruncation(PairLawError):
 class UnimodalityError(PairLawError):
     """Grid pre-scan found a competing mode where one maximum was assumed;
     maps to exit code 3."""
+
+
+class InternalFault(PairLawError):
+    """A self-check of a derived result failed: a bug, not bad input;
+    maps to exit code 5."""

@@ -5,6 +5,10 @@ The family fixes one color of mass x and n colors sharing the remaining
 mass equally.  Along it the discrepancy has a closed form that needs no
 law derivation at all, which makes the family cheap enough to optimize,
 tabulate, and compare against random search over the whole simplex.
+Scans (the maximizer's grid, the family curves) go through one array
+kernel, `_family_rows`; single points (the maximizer's refinement, the
+convergence check) through the scalar closed form, which the kernel
+matches bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import maximize_scalar
+from ._optim import bracket_peak, maximize_scalar
 from ._parallel import _blocks, map_ordered
 from .dist_core import Distribution, RngSeed, _sorted_simplex_rows
 from .errors import DomainError, NoSignChange
@@ -123,14 +127,63 @@ def family_discrepancy(fp: FamilyPoint) -> float:
     return x * x / f2 - x * x * s
 
 
+def _family_rows(n, x) -> np.ndarray:
+    """family_discrepancy over 1-D arrays of (n, x), bit for bit; n may
+    be one tail count for all x.
+
+    Every entry runs the scalar loop's term ratio, accumulation order and
+    stop test, and leaves the live set at its own stop or after its last
+    term; the live arrays are compacted whenever an entry leaves, so a
+    batch takes as many steps as its longest series.  Entries at the
+    uniform end x = 1/(n+1) are 0 without a step: their series would run
+    to all n terms.  n is carried as a float, exact below 2^53, where the
+    term ratio's integer product rounds as in the scalar loop but cannot
+    wrap as an int64 product would.
+    """
+    n, x = np.broadcast_arrays(np.asarray(n, dtype=float),
+                               np.asarray(x, dtype=float))
+    if (n < 1).any():
+        raise DomainError("family needs at least one tail color")
+    floor = 1.0 / (n + 1.0)
+    outside = np.flatnonzero(~((floor <= x) & (x < 1.0)))
+    if outside.size:
+        i = outside[0]
+        raise DomainError(f"head mass {float(x[i])!r} outside "
+                          f"[{float(floor[i])!r}, 1)")
+    uniform = x == floor
+    sums = np.ones_like(x)
+    live = np.flatnonzero(~uniform)
+    nl, q = n[live], (1.0 - x[live]) / n[live]
+    t, s = np.ones(live.size), np.ones(live.size)
+    k = 0
+    while live.size:
+        r = (k + 2) * (nl - k) * q / (k + 1)
+        t *= r
+        s += t
+        stop = (((r < 1.0) & (t * r < 1e-16 * s * (1.0 - r)))
+                | (nl == k + 1))
+        if stop.any():
+            sums[live[stop]] = s[stop]
+            keep = ~stop
+            live, nl, q, t, s = live[keep], nl[keep], q[keep], t[keep], s[keep]
+        k += 1
+    f2 = x * x + (1.0 - x) * (1.0 - x) / n
+    d = x * x / f2 - x * x * sums
+    d[uniform] = 0.0
+    return d
+
+
 def family_argmax(n: int) -> OptResult:
-    """Maximizer of the family discrepancy in x for fixed tail count n."""
+    """Maximizer of the family discrepancy in x for fixed tail count n:
+    the array kernel scans, the scalar closed form refines."""
     if n < 1:
         raise DomainError("family needs at least one tail color")
     lo = 1.0 / (n + 1)
+    bracket = bracket_peak(lambda xs: _family_rows(n, xs), lo, 1.0,
+                           ARGMAX_GRID)
     result = maximize_scalar(
-        lambda x: family_discrepancy(FamilyPoint(n, x)), lo, 1.0,
-        grid=ARGMAX_GRID, width=ARGMAX_WIDTH, step=ARGMAX_STEP)
+        lambda x: family_discrepancy(FamilyPoint(n, x)), lo, 1.0, bracket,
+        scanned=ARGMAX_GRID, width=ARGMAX_WIDTH, step=ARGMAX_STEP)
     return OptResult(*result)
 
 
@@ -219,10 +272,9 @@ def figure_family_curves(n_max: int, samples_per_curve: int) -> list[FamilyCurve
         raise DomainError("need at least one curve")
     if samples_per_curve < 2:
         raise DomainError("need at least two samples per curve")
-    rows = []
-    for n in range(1, n_max + 1):
-        for j in range(samples_per_curve):
-            u = j / (samples_per_curve - 1)
-            x = min((u * n + 1.0) / (n + 1.0), 1.0 - CURVE_EDGE)
-            rows.append(FamilyCurveRow(n, u, family_discrepancy(FamilyPoint(n, x))))
-    return rows
+    n = np.repeat(np.arange(1, n_max + 1), samples_per_curve)
+    u = np.tile(np.arange(samples_per_curve) / (samples_per_curve - 1), n_max)
+    x = np.minimum((u * n + 1.0) / (n + 1.0), 1.0 - CURVE_EDGE)
+    values = _family_rows(n, x)
+    return [FamilyCurveRow(*row) for row in
+            zip(n.tolist(), u.tolist(), values.tolist())]

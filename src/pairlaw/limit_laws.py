@@ -245,7 +245,8 @@ def _curve_argmax(curve: Callable[[float], float],
     """
     if not tol >= 1e-12:
         raise DomainError(f"argmax tolerance {tol!r} below the 1e-12 floor")
-    lo, hi = bracket_peak(curve, 0.0, SEARCH_HI, ARGMAX_GRID)
+    lo, hi = bracket_peak(lambda xs: [curve(x) for x in xs.tolist()],
+                          0.0, SEARCH_HI, ARGMAX_GRID)
     if not slope(lo) > 0.0 > slope(hi):
         raise UnimodalityError(
             f"the slope does not change sign across [{lo!r}, {hi!r}]")

@@ -22,7 +22,8 @@ import numpy as np
 
 from ._parallel import _blocks, map_ordered
 from .dist_core import Distribution, _alias_draw, _alias_tables
-from .errors import DomainError, IndexMismatch, ToleranceNotMet, TooManyColors
+from .errors import (DomainError, IndexMismatch, InternalFault,
+                     ToleranceNotMet, TooManyColors)
 
 M1 = "m1"
 M2 = "m2"
@@ -70,7 +71,8 @@ class PairLaw:
             raise DomainError(f"unknown method {self.method!r}")
         total = math.fsum(self.probs)
         if abs(total - 1.0) > LAW_SUM_TOL or min(self.probs) < 0.0:
-            raise DomainError(f"law entries sum to {total!r}; derivation bug")
+            raise InternalFault(
+                f"law entries sum to {total!r}; derivation bug")
 
     def __len__(self) -> int:
         return len(self.probs)

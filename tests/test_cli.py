@@ -73,6 +73,16 @@ def test_derive_derives_each_law_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_internal_fault_exits_5(capsys, monkeypatch):
+    # a kernel that loses mass is a bug; the exit code must not blame the
+    # input, and the run prints no partial output
+    kernel = pair_laws._m2_rows
+    monkeypatch.setattr(pair_laws, "_m2_rows", lambda P: 1.5 * kernel(P))
+    code, out, err = run(capsys, "derive", "--dist", "0.5,0.3,0.2")
+    assert code == 5 and out == ""
+    assert err.startswith("InternalFault: ") and "derivation bug" in err
+
+
 #: Runs each (argv, environment) case through cli.main and prints one JSON
 #: line [argv, exit code, stdout] per case.  The address-space cap turns a
 #: runaway allocation into a MemoryError instead of a drain on the host.

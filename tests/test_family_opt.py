@@ -12,6 +12,8 @@ from pairlaw import (THREE_COLOR_ARGMAX, THREE_COLOR_DOUBLED_MAX,
                      exact_two_color_extreme, family_argmax,
                      family_discrepancy, figure_family_curves, simplex_search,
                      solve_poly)
+from pairlaw.family_opt import (ARGMAX_GRID, CURVE_EDGE, FamilyCurveRow,
+                                OptResult, _family_rows)
 
 # interior maximizers x_n and peak values D(x_n) for n = 1..9, to 20 digits
 X_N = (0.6966599465951643196, 0.5820110139097399105, 0.5160030571683498864,
@@ -20,6 +22,41 @@ X_N = (0.6966599465951643196, 0.5820110139097399105, 0.5160030571683498864,
 D_N = (0.06084679923181354776, 0.08429419234614604446, 0.09766297359542326758,
        0.10661363736945495196, 0.11316011048732238932, 0.11822473613430355437,
        0.12229838762442936532, 0.12566994796517442344, 0.12852218802677888163)
+
+# family_argmax(n) for n = 1..9 as the one-point-at-a-time scan returned
+# it: the array scan must bracket the same grid cell, bit for bit
+ARGMAX_PINNED = (
+    OptResult(0.6966599466399233, 0.060846799231813686,
+              (0.6966599466399233, 0.6966599530441964), 2096),
+    OptResult(0.5820110139609699, 0.08429419234614599,
+              (0.5820110139609699, 0.5820110231283487), 2097),
+    OptResult(0.5160030572301874, 0.09766297359542331,
+              (0.5160030572301874, 0.5160030625998613), 2097),
+    OptResult(0.4710812368344183, 0.10661363736945517,
+              (0.4710812368344183, 0.4710812479421163), 2097),
+    OptResult(0.4376598565675834, 0.11316011048732233,
+              (0.43765985428978776, 0.4376598565675834), 2097),
+    OptResult(0.4113811480348731, 0.1182247361343034,
+              (0.4113811480348731, 0.41138115494565064), 2097),
+    OptResult(0.3899258771109544, 0.12229838762442935,
+              (0.3899258771109544, 0.3899258916256966), 2097),
+    OptResult(0.3719239305895183, 0.1256699479651744,
+              (0.3719239305895183, 0.3719239357355263), 2097),
+    OptResult(0.3565033914480191, 0.12852218802677884,
+              (0.3565033914480191, 0.3565033963650207), 2097),
+)
+
+
+def _scan_points(n):
+    # the argmax grid midpoints, the uniform end, and just short of x = 1
+    lo = 1.0 / (n + 1)
+    xs = lo + (1.0 - lo) * (np.arange(ARGMAX_GRID) + 0.5) / ARGMAX_GRID
+    return [lo] + xs.tolist() + [1.0 - 1e-9]
+
+
+def _scalar(ns, xs):
+    return np.array([family_discrepancy(FamilyPoint(n, x))
+                     for n, x in zip(ns, xs)])
 
 
 def test_family_point_domain():
@@ -168,3 +205,57 @@ def test_figure_family_curves_peaks():
     for n in (1, 2):
         peak = max(r.value for r in rows if r.n == n)
         assert abs(peak - D_N[n - 1]) < 1e-3  # 129-point sampling resolution
+
+
+def test_kernel_matches_the_closed_form_bit_for_bit():
+    # small n, mixed in one call: entries of different lengths leave the
+    # live set at different steps
+    ns, xs = [], []
+    for n in range(1, 40):
+        pts = _scan_points(n)
+        ns += [n] * len(pts)
+        xs += pts
+    rows = _family_rows(np.array(ns), np.array(xs))
+    assert rows.tobytes() == _scalar(ns, xs).tobytes()
+    # large n, one scalar n against the whole grid, as family_argmax calls it
+    for n in (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6):
+        pts = _scan_points(n)
+        rows = _family_rows(n, np.array(pts))
+        assert rows.shape == (len(pts),)
+        assert rows.tobytes() == _scalar([n] * len(pts), pts).tobytes()
+    # thousands of terms at n = 2^52: (k + 2)(n - k) passes 2^63
+    pts = [0.01, 0.5]
+    rows = _family_rows(2 ** 52, np.array(pts))
+    assert rows.tobytes() == _scalar([2 ** 52] * 2, pts).tobytes()
+
+
+def test_family_curves_match_the_closed_form_point_by_point():
+    for n_max, samples in ((9, 129), (6, 33), (1000, 2)):
+        expected = []
+        for n in range(1, n_max + 1):
+            for j in range(samples):
+                u = j / (samples - 1)
+                x = min((u * n + 1.0) / (n + 1.0), 1.0 - CURVE_EDGE)
+                expected.append(FamilyCurveRow(
+                    n, u, family_discrepancy(FamilyPoint(n, x))))
+        rows = figure_family_curves(n_max, samples)
+        assert all(type(v) is t for r in rows
+                   for v, t in ((r.n, int), (r.u, float), (r.value, float)))
+        assert rows == expected
+
+
+def test_argmax_is_pinned_to_the_bit():
+    for n, pinned in enumerate(ARGMAX_PINNED, start=1):
+        assert family_argmax(n) == pinned
+
+
+def test_kernel_rejects_points_outside_the_family():
+    # n = -2 puts 1/(n+1) at -1, so only the tail-count check catches it
+    for n, x in ((0, [0.5]), (-2, [0.5]), (3, [0.2499]), (3, [1.0]),
+                 (3, [float("nan")]), ([2, 0], [0.5, 0.5]),
+                 ([2, 3], [0.5, 0.2])):
+        with pytest.raises(DomainError):
+            _family_rows(np.array(n), np.array(x))
+    # the uniform end itself is inside, and exactly zero
+    ends = _family_rows(np.array([1, 3]), np.array([0.5, 0.25]))
+    assert ends.tolist() == [0.0, 0.0]

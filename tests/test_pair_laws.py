@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from pairlaw import (DomainError, DrawStats, PairLaw, RngSeed, SimReport,
-                     TooManyColors, derive_m1, derive_m2, discrepancy,
-                     draw_stats, m2_oracle_exact, m2_simulate,
+from pairlaw import (DomainError, DrawStats, InternalFault, PairLaw, RngSeed,
+                     SimReport, TooManyColors, derive_m1, derive_m2,
+                     discrepancy, draw_stats, m2_oracle_exact, m2_simulate,
                      match_probability, tvd, validate)
 from pairlaw import pair_laws
 from pairlaw.family_opt import FamilyPoint, family_discrepancy
@@ -56,7 +56,8 @@ def test_both_methods_keep_zero_colors_at_zero():
 def test_pair_law_rejects_garbage():
     with pytest.raises(DomainError):
         PairLaw("m3", (1.0,))
-    with pytest.raises(DomainError):
+    # entries that do not sum to one come from a derivation, not the user
+    with pytest.raises(InternalFault):
         PairLaw("m1", (0.7, 0.7))
 
 
