@@ -33,9 +33,17 @@ def effective_threads(threads: int | None) -> int:
     return max(1, threads)
 
 
-def _blocks(total: int, chunk: int) -> list[tuple[int, int]]:
-    """(block index, item count) pairs covering total items in chunk-sized
-    blocks, the last one short; the plan depends on nothing else."""
+#: Most rows per block, one seed stream each; never derived from the
+#: thread count, so a seed and a row count fix every seeded result.
+SIM_CHUNK = 1 << 16
+
+
+def _blocks(total: int, row_bytes: int) -> list[tuple[int, int]]:
+    """(block index, row count) pairs covering total rows in equal blocks,
+    the last one short.  Blocks shrink below SIM_CHUNK rows only to keep a
+    block's row_bytes-wide working matrix near 64 MB; the plan depends on
+    nothing else."""
+    chunk = min(SIM_CHUNK, max(64, (1 << 26) // row_bytes))
     return [(block, min(chunk, total - start))
             for block, start in enumerate(range(0, total, chunk))]
 

@@ -5,7 +5,7 @@ Every invocation prints one table, either as CSV (12 significant digits,
 human-facing) or as a single JSON envelope (repr-exact reals, lossless);
 diagnostics go to the error stream.  Exit codes: 0 success, 2 input
 validation, 3 numerical tolerance or a competing maximum, 4 simulation
-truncation.
+truncation, 5 an internal fault (a bug, not bad input).
 """
 
 from __future__ import annotations

@@ -61,7 +61,9 @@ class NTooSmall(InputError):
 
 
 class ToleranceNotMet(PairLawError):
-    """A numerical routine hit its subdivision limit; maps to exit code 3."""
+    """A numerical routine could not vouch for its result: a quadrature
+    hit its subdivision limit or produced a non-finite error estimate, or
+    the three total-variation forms disagreed; maps to exit code 3."""
 
 
 class ExcessTruncation(PairLawError):

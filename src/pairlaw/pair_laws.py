@@ -7,8 +7,9 @@ a same-color pair and so induce a law on colors, and the two laws disagree
 for every non-uniform source.  This module computes both laws exactly (the
 second as a Poisson integral, by Gauss quadrature), their total variation
 distance, expected draw-count statistics, and two independent verification
-routes: an exhaustive absorption solve over subsets of seen colors, and
-seeded Monte Carlo.
+routes: an exhaustive absorption solve over sets of seen colors, and
+seeded Monte Carlo.  Each route is one kernel for one sequence and for the
+shoes module's two: _chain_law sweeps the walk that _walk_chunk samples.
 """
 
 from __future__ import annotations
@@ -28,25 +29,9 @@ from .errors import (DomainError, IndexMismatch, InternalFault,
 M1 = "m1"
 M2 = "m2"
 
-#: The exhaustive solve walks all 2^m subsets of colors; past this size the
-#: reachability table no longer fits in a sensible footprint.
+#: The exhaustive solve sweeps all 2^m seen-color sets; past this size its
+#: state tables no longer fit in a sensible footprint.
 ORACLE_MAX_COLORS = 20
-
-#: Monte Carlo trials per independent seed stream.  Fixed, never derived
-#: from the thread count, so a (seed, trials) pair fully determines every
-#: simulation result.
-SIM_CHUNK = 1 << 16
-
-
-def _chunk_rows(m: int) -> int:
-    """Trials per seed stream for an m-color walk.
-
-    Shrinks with m only to bound the seen-color matrix near 64 MB; a pure
-    function of m, so chunk boundaries (and hence results) stay identical
-    across thread counts.
-    """
-    return min(SIM_CHUNK, max(64, (1 << 26) // (2 * m)))
-
 
 #: The exact rule's largest node is near 2m; past this many colors it
 #: passes t = 490, where prod_j (1 + p_j t) can reach e^t and overflow.
@@ -210,38 +195,88 @@ def derive_m2(d: Distribution) -> PairLaw:
     return PairLaw(M2, tuple(_m2_rows(d.as_array()[None, :])[0].tolist()))
 
 
-def m2_oracle_exact(d: Distribution) -> PairLaw:
-    """The one-at-a-time law by exhaustive absorption over seen-color sets.
+@functools.lru_cache(maxsize=None)
+def _chain_states(k: int, m: int) -> tuple[list[tuple], np.ndarray]:
+    """The (k + 1)^m digit-coded states of a k-side chain on m colors.
 
-    The state is the set S of colors seen so far (each exactly once, or the
-    walk would have stopped).  Drawing c in S absorbs with pair color c;
-    drawing c outside S moves to S + {c}.  The reach weight R[S], the
-    probability of ever visiting S, satisfies R[S] = sum over i in S of
-    R[S - i] * p_i and is filled level by level in subset size; absorption
-    at color i is then p_i * sum of R[S] over S containing i.  Exponential
-    in m by construction, which is the point: it shares no code path with
-    derive_m2.
+    Per level, in index order: the states with that many seen colors,
+    their digits, and their unseen colors in color order; and each state's
+    rank within its level.  Cached per (k, m), like _laguerre: at the
+    20-color oracle cap the tables hold about 46 MB.
     """
-    m = len(d)
-    if m > ORACLE_MAX_COLORS:
+    digits = np.zeros((1, 0), dtype=np.int8)
+    for _ in range(m):  # each color enters as the next, higher digit
+        digits = np.concatenate([
+            np.column_stack((digits, np.full(len(digits), d, np.int8)))
+            for d in range(k + 1)])
+    seen = np.count_nonzero(digits, axis=1)
+    order = np.argsort(seen, kind="stable")
+    rank = np.empty_like(order)
+    levels = []
+    for level, states in enumerate(np.split(order,
+                                            np.cumsum(np.bincount(seen))[:-1])):
+        rank[states] = np.arange(states.size)
+        coded = digits[states]
+        unseen = np.nonzero(coded == 0)[1].astype(np.int8)
+        levels.append((states, coded, unseen.reshape(states.size, m - level)))
+    return levels, rank
+
+
+def _chain_law(sides: Sequence[np.ndarray]) -> np.ndarray:
+    """Exact absorption law of the walk that _walk_chunk samples, with one
+    probability array per side.
+
+    A color's digit is 0 while unseen and s + 1 once seen on side s; a
+    state is the index sum_c digit_c (k + 1)^c.  Side s draws color c with
+    probability sides[s][c]: an unseen c moves the walk one level up and
+    passes the turn, and digit (s - 1) % k + 1 absorbs (a repeat with one
+    side, a color seen on the other side with two).  With two sides a
+    repeat on the drawer's own set only passes the turn.  With alpha, beta
+    the p-, q-mass of the left-, right-seen sets and inflows I_L, I_R
+    arriving on each side's turn, that cycle's occupations are
+    u = (I_L + beta I_R) / (1 - alpha beta) and v = I_R + alpha u, the
+    denominator taken as (p-mass off the left-seen set) + alpha (q-mass
+    off the right-seen set): nonnegative terms, so full relative precision
+    however close alpha beta comes to one, and positive, as some color has
+    mass on both sides.  Levels, counts of seen colors, are swept in order
+    over the states with positive inflow.  Exponential in m by design: it
+    shares no code with the Poisson quadrature or the walks it checks.
+    """
+    k, m = len(sides), sides[0].size
+    levels, rank = _chain_states(k, m)
+    place = (k + 1) ** np.arange(m)
+    absorb = np.zeros(m)
+    inflow = np.eye(k, 1)  # one walk at the empty state, side 0 to draw
+    for level, (states, digits, unseen) in enumerate(levels):
+        live = inflow.any(axis=0)
+        states, digits, unseen = states[live], digits[live], unseen[live]
+        inflow = inflow[:, live]
+        if k == 1:
+            occupancy = inflow
+        else:
+            p, q = sides
+            left, right = digits == 1, digits == 2
+            alpha, beta = left @ p, right @ q
+            gap = ~left @ p + alpha * (~right @ q)
+            u = (inflow[0] + beta * inflow[1]) / gap
+            occupancy = u, inflow[1] + alpha * u
+        ahead = np.zeros((k, levels[level + 1][0].size if level < m else 0))
+        for s, (probs, u) in enumerate(zip(sides, occupancy)):
+            absorb += u @ (digits == (s - 1) % k + 1) * probs
+            first = rank[states[:, None] + (s + 1) * place[unseen]]
+            flow = u[:, None] * probs[unseen]
+            ahead[(s + 1) % k] += np.bincount(first.ravel(), flow.ravel(),
+                                              ahead.shape[1])
+        inflow = ahead
+    return absorb
+
+
+def m2_oracle_exact(d: Distribution) -> PairLaw:
+    """The one-at-a-time law by exhaustive absorption over seen-color sets:
+    the one-side case of _chain_law, over all 2^m sets, hence the cap."""
+    if len(d) > ORACLE_MAX_COLORS:
         raise TooManyColors(f"exhaustive solve capped at {ORACLE_MAX_COLORS} colors")
-    p = d.as_array()
-    size = 1 << m
-    reach = np.zeros(size)
-    reach[0] = 1.0
-    idx = np.arange(size)
-    pop = np.zeros(size, dtype=np.int64)
-    for i in range(m):
-        pop += (idx >> i) & 1
-    levels = [idx[pop == k] for k in range(m + 1)]
-    for k in range(m):
-        masks = levels[k]
-        for i in range(m):
-            bit = 1 << i
-            src = masks[(masks & bit) == 0]
-            np.add.at(reach, src | bit, reach[src] * p[i])
-    probs = tuple(float(p[i] * reach[(idx >> i) & 1 == 1].sum()) for i in range(m))
-    return PairLaw(M2, probs)
+    return PairLaw(M2, tuple(_chain_law([d.as_array()]).tolist()))
 
 
 def _walk_chunk(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
@@ -277,10 +312,11 @@ def _walks(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
            threads: int | None) -> tuple[np.ndarray, int]:
     """Absorption counts and truncation count of `trials` walks.
 
-    Trials are split into _chunk_rows(m)-sized blocks, one derived seed
-    stream per block, and the blocks are reduced in index order, so the
-    outcome is a pure function of (tables, trials, seed, max_steps)
-    whatever the thread count.
+    Trials are split into the blocks of _blocks, one derived seed stream
+    per block, and the blocks are reduced in index order, so the outcome
+    is a pure function of (tables, trials, seed, max_steps) whatever the
+    thread count.  Either simulator plans its blocks for two m-wide seen
+    matrices, so socks and shoes share one plan.
     """
     def run(block: int, count: int) -> tuple[np.ndarray, int]:
         return _walk_chunk(tables, m, seed.stream(block).generator(), count,
@@ -289,7 +325,7 @@ def _walks(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
     counts = np.zeros(m, dtype=np.int64)
     truncated = 0
     for chunk_counts, chunk_trunc in map_ordered(
-            run, _blocks(trials, _chunk_rows(m)), threads):
+            run, _blocks(trials, 2 * m), threads):
         counts += chunk_counts
         truncated += chunk_trunc
     return counts, truncated

@@ -6,7 +6,9 @@ the same color; the one-at-a-time procedure stops at the first draw that
 completes such a pair.  Repeats on one side are wasted draws, which makes
 the sequential law genuinely different from the single-sequence case even
 when p equals q, and lets the discrepancy between the two pair laws climb
-arbitrarily close to one along a suitable family of sources.
+arbitrarily close to one along a suitable family of sources.  The exact
+law and the simulation are the two-side cases of pair_laws._chain_law and
+pair_laws._walk_chunk.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from typing import Sequence
 from .dist_core import Distribution, RngSeed, _alias_tables
 from .errors import (DomainError, ExcessTruncation, IndexMismatch, InvalidPair,
                      NTooSmall, TooManyColors)
-from .pair_laws import M1, M2, PairLaw, SimReport, _report_from_counts, \
-    _walks, tvd
+from .pair_laws import M1, M2, PairLaw, SimReport, _chain_law, \
+    _report_from_counts, _walks, tvd
 
-#: The exact solve walks all (left seen, right seen) set pairs: 3^m of
+#: The exact solve sweeps all (left seen, right seen) set pairs: 3^m of
 #: them, each with a two-state turn cycle.
 SHOES_EXACT_MAX_COLORS = 10
 
@@ -77,65 +79,13 @@ def shoes_m1(sp: ShoePair) -> PairLaw:
 
 
 def shoes_m2_exact(sp: ShoePair) -> PairLaw:
-    """Exact law of the first completed pair color under alternation.
-
-    Dynamic programming over (left colors seen, right colors seen).  A
-    draw repeating a color on its own side changes nothing but whose turn
-    it is, so each set pair carries a two-state cycle whose total
-    occupation has a closed form: with alpha = p-mass of the left-seen
-    set, beta = q-mass of the right-seen set, and inflows I_L (arriving on
-    the left's turn) and I_R, the occupations are u = (I_L + beta I_R) /
-    (1 - alpha beta) and v = I_R + alpha u.  alpha beta < 1 whenever some
-    color has mass on both sides, which the pair invariant guarantees, so
-    no weight escapes into an endless cycle.  The denominator is taken as
-    (1 - alpha) + alpha (1 - beta) from the unseen masses, a sum of
-    nonnegative terms, so it keeps full relative precision however close
-    alpha beta comes to one.  States advance by total colors seen; 3^m set
-    pairs, hence the size cap.
-    """
-    m = len(sp)
-    if m > SHOES_EXACT_MAX_COLORS:
+    """Exact law of the first completed pair color under alternation: the
+    two-side case of _chain_law, over all 3^m (left seen, right seen) set
+    pairs, hence the cap."""
+    if len(sp) > SHOES_EXACT_MAX_COLORS:
         raise TooManyColors(f"exact solve capped at {SHOES_EXACT_MAX_COLORS} colors")
-    p = sp.left.probs
-    q = sp.right.probs
-    size = 1 << m
-    full = size - 1
-    pmass = [0.0] * size
-    qmass = [0.0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        rest = mask ^ low
-        i = low.bit_length() - 1
-        pmass[mask] = pmass[rest] + p[i]
-        qmass[mask] = qmass[rest] + q[i]
-    absorb = [0.0] * m
-    level: dict[tuple[int, int], list[float]] = {(0, 0): [1.0, 0.0]}
-    for _ in range(2 * m + 1):
-        nxt: dict[tuple[int, int], list[float]] = {}
-        for (lmask, rmask), (in_left, in_right) in level.items():
-            alpha = pmass[lmask]
-            beta = qmass[rmask]
-            gap = pmass[full ^ lmask] + alpha * qmass[full ^ rmask]
-            u = (in_left + beta * in_right) / gap
-            v = in_right + alpha * u
-            for c in range(m):
-                bit = 1 << c
-                flow = u * p[c]
-                if flow > 0.0:
-                    if rmask & bit:
-                        absorb[c] += flow
-                    elif not lmask & bit:
-                        nxt.setdefault((lmask | bit, rmask), [0.0, 0.0])[1] += flow
-                flow = v * q[c]
-                if flow > 0.0:
-                    if lmask & bit:
-                        absorb[c] += flow
-                    elif not rmask & bit:
-                        nxt.setdefault((lmask, rmask | bit), [0.0, 0.0])[0] += flow
-        level = nxt
-        if not level:
-            break
-    return PairLaw(M2, tuple(absorb))
+    return PairLaw(M2, tuple(_chain_law([sp.left.as_array(),
+                                         sp.right.as_array()]).tolist()))
 
 
 def _default_horizon(sp: ShoePair) -> int:

@@ -1,0 +1,160 @@
+"""The exact chain kernel behind m2_oracle_exact and shoes_m2_exact."""
+
+import time
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from pairlaw import (InvalidPair, ShoePair, TooManyColors, m2_oracle_exact,
+                     shoes_m2_exact, validate)
+from pairlaw import pair_laws
+
+
+def _socks_rational(p):
+    """The one-at-a-time law in exact rationals: reach weights over seen
+    sets, pushed in order of set size."""
+    p = [Fraction(v) for v in p]
+    m = len(p)
+    reach = [Fraction(0)] * (1 << m)
+    reach[0] = Fraction(1)
+    absorb = [Fraction(0)] * m
+    for seen in sorted(range(1 << m), key=lambda s: bin(s).count("1")):
+        for c in range(m):
+            if seen >> c & 1:
+                absorb[c] += reach[seen] * p[c]
+            else:
+                reach[seen | 1 << c] += reach[seen] * p[c]
+    return absorb
+
+
+def _shoes_rational(p, q):
+    """The alternating law in exact rationals over (left, right) seen-set
+    pairs; each side repeats on its own set with probability one minus its
+    unseen mass, and the turn cycle is solved exactly."""
+    p = [Fraction(v) for v in p]
+    q = [Fraction(v) for v in q]
+    m = len(p)
+    inflow = {(0, 0): [Fraction(1), Fraction(0)]}
+    absorb = [Fraction(0)] * m
+    for size in range(m + 1):
+        for (left, right), (in_left, in_right) in sorted(inflow.items()):
+            if bin(left | right).count("1") != size:
+                continue
+            alpha = 1 - sum(p[c] for c in range(m) if not left >> c & 1)
+            beta = 1 - sum(q[c] for c in range(m) if not right >> c & 1)
+            u = (in_left + beta * in_right) / (1 - alpha * beta)
+            v = in_right + alpha * u
+            for c in range(m):
+                bit = 1 << c
+                if right & bit:
+                    absorb[c] += u * p[c]
+                elif not left & bit:
+                    inflow.setdefault((left | bit, right), [0, 0])[1] += u * p[c]
+                if left & bit:
+                    absorb[c] += v * q[c]
+                elif not right & bit:
+                    inflow.setdefault((left, right | bit), [0, 0])[0] += v * q[c]
+    return absorb
+
+
+def _sparse_source(rng, m):
+    """A Dirichlet source whose colors are each zeroed with chance 1/4,
+    keeping at least one."""
+    a = rng.dirichlet(np.ones(m) * rng.uniform(0.3, 3.0))
+    a[rng.random(m) < 0.25] = 0.0
+    if not a.any():
+        a[int(rng.integers(m))] = 1.0
+    return validate((a / a.sum()).tolist())
+
+
+def _assert_close(got, want):
+    for g, w in zip(got, want):
+        if w == 0:
+            assert g == 0.0
+        else:
+            assert abs(Fraction(g) - w) <= Fraction(1e-13) * w
+
+
+def test_one_side_matches_a_rational_solve():
+    rng = np.random.default_rng(91)
+    for _ in range(60):
+        d = _sparse_source(rng, int(rng.integers(1, 6)))
+        _assert_close(m2_oracle_exact(d).probs, _socks_rational(d.probs))
+
+
+def test_two_sides_match_a_rational_solve():
+    rng = np.random.default_rng(92)
+    solved = 0
+    while solved < 40:
+        m = int(rng.integers(1, 6))
+        try:
+            sp = ShoePair(_sparse_source(rng, m), _sparse_source(rng, m))
+        except InvalidPair:
+            continue
+        _assert_close(shoes_m2_exact(sp).probs,
+                      _shoes_rational(sp.left.probs, sp.right.probs))
+        solved += 1
+
+
+def test_caps_refuse_before_allocating():
+    d21 = validate([1.0 / 21] * 21)
+    d11 = validate([1.0 / 11] * 11)
+    sp = ShoePair(d11, d11)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyColors):
+            m2_oracle_exact(d21)
+        with pytest.raises(TooManyColors):
+            shoes_m2_exact(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_repeat_calls_return_the_same_bits():
+    rng = np.random.default_rng(93)
+    d = validate(rng.dirichlet(np.ones(9)).tolist())
+    other = validate(rng.dirichlet(np.ones(9)).tolist())
+    sp = ShoePair(validate(rng.dirichlet(np.ones(6)).tolist()),
+                  validate(rng.dirichlet(np.ones(6)).tolist()))
+    flip = ShoePair(sp.right, sp.left)
+    first = m2_oracle_exact(d).probs, shoes_m2_exact(sp).probs
+    m2_oracle_exact(other)
+    shoes_m2_exact(flip)
+    assert (m2_oracle_exact(d).probs, shoes_m2_exact(sp).probs) == first
+
+
+def test_oracles_share_no_code_with_what_they_check(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the exact chain ran a checked kernel")
+
+    for name in ("_poisson_sums", "_m2_rows", "derive_m2", "_walk_chunk",
+                 "_walks"):
+        monkeypatch.setattr(pair_laws, name, forbidden)
+    d = validate([0.5, 0.3, 0.2])
+    assert max(abs(a - b) for a, b in zip(m2_oracle_exact(d).probs,
+                                          (0.59, 0.27, 0.14))) < 1e-15
+    shoes_m2_exact(ShoePair(d, d))
+
+
+def _best_time(fn, repeats=3):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_states_without_inflow_are_skipped():
+    # two supported colors among sixteen reach 4 of the 2^16 states; the
+    # sweep must cost a small fraction of a fully supported source's
+    dense = validate(np.random.default_rng(94).dirichlet(np.ones(16)).tolist())
+    sparse = validate([0.5, 0.5] + [0.0] * 14)
+    m2_oracle_exact(dense)  # builds the 16-color state tables
+    assert m2_oracle_exact(sparse).probs[:2] == (0.5, 0.5)
+    assert (_best_time(lambda: m2_oracle_exact(sparse))
+            < 0.25 * _best_time(lambda: m2_oracle_exact(dense)))

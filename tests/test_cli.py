@@ -136,6 +136,8 @@ def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
         (["limit", "--kind", "shoes-grid", "--a", "1", "--b", "nan"], {}),
         (["limit", "--kind", "socks", "--c", "1e160"], {}),
         (["limit", "--kind", "shoes-diag", "--a", "1e200"], {}),
+        (["family", "--n", "100000000", "--action", "curve",
+          "--samples", "129"], {}),
         # an explicit horizon past the step cap on a pair whose walks
         # almost never absorb
         (["shoes", "derive", "--left", "1e-300,1" + ",0" * 9,
