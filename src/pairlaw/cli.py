@@ -134,10 +134,22 @@ def cmd_family(args: argparse.Namespace) -> OutputEnvelope:
     return _envelope("family", params, columns, rows)
 
 
-def _ticks(args) -> list[float]:
-    """The evenly spaced curve or grid points from --lo to --hi."""
+#: Most adaptive quadratures of one `limit` request: --points of them on a
+#: curve, --points squared on a shoes grid.  At about 1.2 ms a quadrature
+#: (2 cores, numpy 2.4) the cap bounds a request near 13 s; the default
+#: 64-point grid runs 4,096.
+LIMIT_MAX_QUADRATURES = 10 ** 4
+
+
+def _ticks(args, dims: int = 1) -> list[float]:
+    """The evenly spaced curve (dims 1) or grid (dims 2) points from --lo
+    to --hi, refused before any quadrature past LIMIT_MAX_QUADRATURES."""
     if args.points < 2:
         raise InputError(f"--points must be at least 2, got {args.points}")
+    if args.points ** dims > LIMIT_MAX_QUADRATURES:
+        raise InputError(f"--points {args.points} asks for "
+                         f"{args.points ** dims} quadratures, past the "
+                         f"{LIMIT_MAX_QUADRATURES} cap")
     return [args.lo + (args.hi - args.lo) * i / (args.points - 1)
             for i in range(args.points)]
 
@@ -168,7 +180,7 @@ def _limit_shoes_grid(args) -> tuple[dict, list, list]:
         return {"mode": "point", "a": args.a, "b": args.b}, \
             ["a", "b", "value", "abs_error_estimate", "subdivisions"], \
             [[args.a, args.b, r.value, r.abs_error_estimate, r.subdivisions]]
-    ticks = _ticks(args)
+    ticks = _ticks(args, 2)
     rows = [[a, b, ell_shoes(a, b, args.tol).value]
             for a in ticks for b in ticks]
     return {"mode": "grid", "lo": args.lo, "hi": args.hi,

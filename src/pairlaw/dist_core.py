@@ -133,10 +133,21 @@ def _alias_tables(probs: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
 
 def _alias_draw(accept: np.ndarray, alias: np.ndarray,
                 g: np.random.Generator, count: int) -> np.ndarray:
-    """count color indices in one vectorized pass, one uniform per draw."""
+    """count color indices in one vectorized pass, one uniform per draw.
+
+    Uniform u in [0, m) picks column idx = floor(u) and keeps it when the
+    fraction u - idx falls below accept[idx], else takes alias[idx].  The
+    select is arithmetic, alias + keep * (idx - alias), computed in place.
+    """
     m = accept.size
-    u = g.random(count) * m
+    u = g.random(count)
+    u *= m
     idx = u.astype(np.int64)
     np.minimum(idx, m - 1, out=idx)  # guard the u == m round-up corner
-    frac = u - idx
-    return np.where(frac < accept[idx], idx, alias[idx])
+    u -= idx  # now the fraction
+    keep = u < accept[idx]
+    out = alias[idx]
+    idx -= out
+    idx *= keep
+    out += idx
+    return out

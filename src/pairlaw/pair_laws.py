@@ -289,21 +289,28 @@ def _walk_chunk(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
     walk absorbs when its color is already in seen[side - 1]: with one
     side that is the walk's own seen set (a repeat), with two it is the
     other side's (a completed left/right pair).
+
+    Each side's seen sets are one flat count * m bool array, walk w owning
+    entries w * m .. w * m + m - 1, and the live walks are kept as their
+    row offsets, so a lookup or a mark is one 1-D gather or scatter at
+    rows + color.  Every drawn walk is marked before the absorbed ones are
+    dropped: a dropped walk's row is never read again, so only the offsets
+    are compacted.
     """
-    seen = [np.zeros((count, m), dtype=bool) for _ in tables]
-    rows = np.arange(count)
+    seen = [np.zeros(count * m, dtype=bool) for _ in tables]
+    rows = np.arange(0, count * m, m)
     counts = np.zeros(m, dtype=np.int64)
     for step in range(max_steps):
         if rows.size == 0:
             break
         side = step % len(tables)
         c = _alias_draw(*tables[side], g, rows.size)
-        hit = seen[side - 1][rows, c]
+        at = rows + c
+        hit = seen[side - 1][at]
+        seen[side][at] = True
         if hit.any():
             counts += np.bincount(c[hit], minlength=m)
             rows = rows[~hit]
-            c = c[~hit]
-        seen[side][rows, c] = True
     return counts, int(rows.size)
 
 
@@ -315,8 +322,9 @@ def _walks(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
     Trials are split into the blocks of _blocks, one derived seed stream
     per block, and the blocks are reduced in index order, so the outcome
     is a pure function of (tables, trials, seed, max_steps) whatever the
-    thread count.  Either simulator plans its blocks for two m-wide seen
-    matrices, so socks and shoes share one plan.
+    thread count.  Either simulator plans its blocks for two flat
+    count * m seen arrays (2 * m bytes a walk), so socks and shoes share
+    one plan.
     """
     def run(block: int, count: int) -> tuple[np.ndarray, int]:
         return _walk_chunk(tables, m, seed.stream(block).generator(), count,

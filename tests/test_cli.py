@@ -138,6 +138,9 @@ def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
         (["limit", "--kind", "shoes-diag", "--a", "1e200"], {}),
         (["family", "--n", "100000000", "--action", "curve",
           "--samples", "129"], {}),
+        # 10^10 and 10^5 quadratures, past LIMIT_MAX_QUADRATURES
+        (["limit", "--kind", "shoes-grid", "--points", "100000"], {}),
+        (["limit", "--kind", "socks", "--points", "100000"], {}),
         # an explicit horizon past the step cap on a pair whose walks
         # almost never absorb
         (["shoes", "derive", "--left", "1e-300,1" + ",0" * 9,

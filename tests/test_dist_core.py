@@ -221,3 +221,82 @@ def test_sampler_reproducible_and_iterable():
 
 def test_sampler_never_draws_zero_probability_colors():
     assert not (_alias_draws([0.5, 0.0, 0.5], 77, 200_000) == 1).any()
+
+
+class _Feed:
+    """Stands in for a generator: random(count) serves the given uniforms."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, count):
+        assert count == self.values.size
+        return self.values.copy()
+
+
+def _where_draw(accept, alias, uniforms):
+    """The branch select the arithmetic one replaced, as its oracle."""
+    m = accept.size
+    u = np.asarray(uniforms, dtype=float) * m
+    idx = u.astype(np.int64)
+    np.minimum(idx, m - 1, out=idx)
+    frac = u - idx
+    return np.where(frac < accept[idx], idx, alias[idx])
+
+
+def _edge_uniforms(accept):
+    """0, 2^-53, 1/2, the largest uniform below 1, and for each column
+    the uniforms around the one whose fraction lands on its acceptance
+    threshold; also returns how many land exactly on a threshold."""
+    m = accept.size
+    values = [0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]
+    for i, a in enumerate(accept.tolist()):
+        x = (i + a) / m
+        values += [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
+    values = [v for v in values if 0.0 <= v < 1.0]
+    exact = 0
+    for v in values:
+        idx = min(int(v * m), m - 1)
+        exact += v * m - idx == accept[idx]
+    return values, exact
+
+
+EDGE_SOURCES = [
+    [1.0],
+    [0.0, 1.0],
+    [0.0, 0.0, 1.0],
+    [0.125, 0.375, 0.5],
+    [0.25, 0.25, 0.25, 0.25],
+    [0.5, 0.0, 0.3, 0.0, 0.2],
+    [0.1, 0.0, 0.0, 0.6, 0.0, 0.3, 0.0],
+]
+
+
+def test_alias_draw_edge_uniforms_match_the_branch_select():
+    rng = np.random.default_rng(53)
+    p = rng.exponential(size=70)
+    p[rng.random(70) < 0.3] = 0.0
+    sources = EDGE_SOURCES + [list(p / p.sum())]
+    on_threshold = 0
+    for probs in sources:
+        accept, alias = _alias_tables(probs)
+        values, exact = _edge_uniforms(accept)
+        on_threshold += exact
+        values += rng.random(5000).tolist()
+        got = _alias_draw(accept, alias, _Feed(values), len(values))
+        want = _where_draw(accept, alias, values)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), probs
+        zero = np.flatnonzero(np.asarray(probs) == 0.0)
+        assert not np.isin(got, zero).any(), probs
+        assert ((0 <= got) & (got < len(probs))).all()
+    assert on_threshold >= 5  # a fraction equal to its threshold is kept out
+
+
+def test_alias_draw_threshold_goes_to_the_alias():
+    # 0.125 * 3 = 0.375 exactly: fraction 0.375 equals accept[0], so
+    # column 0 defers to its alias, and one ulp less keeps it
+    accept, alias = _alias_tables((0.125, 0.375, 0.5))
+    assert accept[0] == 0.375 and alias[0] != 0
+    below = np.nextafter(0.125, 0.0)
+    got = _alias_draw(accept, alias, _Feed([0.125, below]), 2)
+    assert got.tolist() == [alias[0], 0]

@@ -4,6 +4,9 @@ Thread invariance alone would not notice a change in the order the walks
 consume their random streams; these exact figures do.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from pairlaw import (ExcessTruncation, RngSeed, ShoePair, m2_simulate,
@@ -13,10 +16,18 @@ TRIPLE = validate([0.5, 0.3, 0.2])
 SIX = validate([0.3, 0.25, 0.2, 0.1, 0.1, 0.05])
 RAMP = validate([(i + 1) / 820 for i in range(40)])
 ASYM = ShoePair(validate([0.6, 0.3, 0.1]), validate([0.2, 0.2, 0.6]))
+RAMP600 = validate([(i + 1) / 180_300 for i in range(600)])
 
 
 def _counts(report):
     return [round(q * report.trials) for q in report.estimated_probs]
+
+
+def _digest(report):
+    """sha256 of the little-endian int64 counts: pins every count of a
+    source too wide to list."""
+    counts = np.array(_counts(report), dtype="<i8")
+    return hashlib.sha256(counts.tobytes()).hexdigest()
 
 
 def test_socks_run_spanning_two_blocks():
@@ -79,3 +90,38 @@ def test_witness_family_run():
         456, 452, 460, 438, 432, 435, 404, 446, 420, 445, 453, 416, 454, 443,
         425, 435, 399, 439]
     assert (r.trials, r.truncated) == (70_000, 0)
+
+
+# Above 512 colors _blocks shrinks the blocks below 65,536 rows to keep
+# the two seen arrays near 64 MB, so the walks index wide, short blocks.
+
+def test_socks_run_on_shrunk_blocks():
+    # 600 colors: blocks of 55,924 and 14,076 walks
+    r = m2_simulate(RAMP600, 70_000, RngSeed(22), threads=2)
+    counts = _counts(r)
+    assert counts[:10] == [0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+    assert counts[-10:] == [344, 315, 345, 309, 344, 337, 359, 349, 350, 350]
+    assert sum(c > 0 for c in counts) == 576
+    assert _digest(r) == ("bc8fe2af4212fe3a65b4c69493ff4c66"
+                          "e4c37c0a5d6c73a03294df78bc0fdc25")
+    assert (r.trials, r.truncated) == (70_000, 0)
+
+
+def test_witness_family_run_on_shrunk_blocks():
+    # 10,001 colors: blocks of 3,355, 3,355 and 290 walks
+    r = shoes_m2_simulate(witness_family(10**4), 7_000, RngSeed(21),
+                          threads=1)
+    counts = _counts(r)
+    assert r.estimated_probs[0] == 0.18314285714285714
+    assert (counts[0], sum(counts), sum(c > 0 for c in counts)) == \
+        (1282, 7000, 4361)
+    assert _digest(r) == ("4f983208bcd7cb558401d69f5071c64e"
+                          "2da67d955efa86bae94baf850730e6d2")
+    assert (r.trials, r.truncated) == (7_000, 0)
+
+
+def test_witness_family_truncation_on_shrunk_blocks():
+    with pytest.raises(ExcessTruncation,
+                       match="^635 of 7000 walks ran past 300 steps$"):
+        shoes_m2_simulate(witness_family(10**4), 7_000, RngSeed(21), 300,
+                          threads=1)
