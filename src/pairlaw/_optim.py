@@ -1,19 +1,16 @@
-"""Scalar maximization: grid bracket, golden section, parabolic polish."""
+"""Scalar maximization: a grid bracket, then bisection of an exact slope."""
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import UnimodalityError
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
 #: A second interior grid mode within this value gap of the best means the
-#: single-peak assumption behind golden section does not hold; fail loudly.
+#: single-peak assumption behind the slope bisection does not hold; fail
+#: loudly.
 MODE_GUARD = 1e-12
 
 
@@ -41,55 +38,31 @@ def bracket_peak(f: Callable[[np.ndarray], Sequence[float]], lo: float,
             float(xs[best + 1]) if best < grid - 1 else hi)
 
 
-def maximize_scalar(f: Callable[[float], float], lo: float, hi: float,
-                    bracket: tuple[float, float], *, scanned: int,
-                    width: float, step: float,
+def maximize_scalar(f: Callable[[float], float],
+                    scan: Callable[[np.ndarray], Sequence[float]],
+                    slope: Callable[[float], float], lo: float, hi: float,
+                    grid: int,
                     ) -> tuple[float, float, tuple[float, float], int]:
-    """Maximize f on the open interval (lo, hi), given a bracket of its
-    global maximum from a bracket_peak scan of `scanned` points.
+    """Maximize f on the open interval (lo, hi) at the root of its slope.
 
-    Golden section narrows the bracket to `width`, and one three-point
-    parabolic fit at spacing `step` pulls the argmax below the flat-top
-    noise floor that value comparisons alone cannot resolve.
-
-    Returns (argmax, value, bracket, evaluations); the evaluations count
-    the scan.
+    A bracket_peak scan (f over an array) on `grid` points brackets the
+    peak.  The slope must be positive at the bracket's left end and
+    negative at its right (an edge peak is a UnimodalityError); bisection
+    on its sign narrows the bracket to adjacent floats, the right one the
+    argmax.  Returns (argmax, value, bracket, evaluations), counting the
+    scan, both end slopes, one slope per step and the value.
     """
-    evals = scanned
-
-    def counted(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        return f(x)
-
-    a, b = bracket
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc = counted(c)
-    fd = counted(d)
-    while h > width:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = counted(c)
+    lo, hi = bracket_peak(scan, lo, hi, grid)
+    if not slope(lo) > 0.0 > slope(hi):
+        raise UnimodalityError(
+            f"the slope does not change sign across [{lo!r}, {hi!r}]")
+    evals = grid + 2
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if slope(mid) > 0.0:
+            lo = mid
         else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = counted(d)
-    x0 = c if fc > fd else d
-
-    if lo < x0 - step and x0 + step < hi:
-        fm = counted(x0 - step)
-        f0 = counted(x0)
-        fp = counted(x0 + step)
-        curvature = fm - 2.0 * f0 + fp
-        if curvature < 0.0:
-            shift = 0.5 * step * (fm - fp) / curvature
-            # the true peak is inside the golden bracket, far closer than
-            # one step; a larger fitted shift is noise, so cap it
-            x0 += max(-step, min(step, shift))
-    value = counted(x0)
-    return x0, value, (min(a, x0), max(b, x0)), evals
+            hi = mid
+        evals += 1
+        mid = 0.5 * (lo + hi)
+    return hi, f(hi), (lo, hi), evals + 1

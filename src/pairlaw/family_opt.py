@@ -6,9 +6,9 @@ mass equally.  Along it the discrepancy has a closed form that needs no
 law derivation at all, which makes the family cheap enough to optimize,
 tabulate, and compare against random search over the whole simplex.
 Scans (the maximizer's grid, the family curves) go through one array
-kernel, `_family_rows`; single points (the maximizer's refinement, the
-convergence check) through the scalar closed form, which the kernel
-matches bit for bit.
+kernel, `_family_rows`, which matches the scalar closed form bit for bit;
+the maximizer then bisects the closed-form slope, `_family_slope`, to
+adjacent floats.
 """
 
 from __future__ import annotations
@@ -18,16 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import bracket_peak, maximize_scalar
+from ._optim import maximize_scalar
 from ._parallel import _blocks, map_ordered
 from .dist_core import Distribution, RngSeed, _sorted_simplex_rows
 from .errors import DomainError, NoSignChange
 from .pair_laws import _discrepancy_rows, tvd
 
-#: Grid, bracket width, and parabolic step of the family maximizer.
+#: Grid of the family maximizer's bracketing scan.
 ARGMAX_GRID = 2048
-ARGMAX_WIDTH = 1e-12
-ARGMAX_STEP = 1e-5
 
 #: Curves are sampled up to, not at, the degenerate x = 1 edge.
 CURVE_EDGE = 1e-9
@@ -171,18 +169,43 @@ def _family_rows(n, x) -> np.ndarray:
     return d
 
 
+def _family_slope(n: int, x: float) -> float:
+    """d family_discrepancy / dx: with S = sum t_k and W = sum k t_k over
+    family_discrepancy's terms t_k, 2x(1-x) / (n f2^2) - 2x S + x^2 W / (1-x).
+
+    One loop sums u_j = j t_j = a_{j-1} t_{j-1}, a_j = (j+2)(n-j) q.  The
+    ratio u_{j+1} / u_j = a_j / j strictly decreases, so once below one it
+    bounds W's remainder by u_j a_j / (j - a_j); the loop stops when that
+    cannot move W, and S's remainder, below 1e-16 W / (j+1), cannot move S.
+    """
+    q = (1.0 - x) / n
+    f2 = x * x + (1.0 - x) * (1.0 - x) / n
+    t = 1.0
+    s = 1.0
+    w = 0.0
+    a = 2.0 * n * q
+    for j in range(1, n + 1):
+        u = t * a
+        t = u / j
+        s += t
+        w += u
+        a = (j + 2) * (n - j) * q
+        if u * a < 1e-16 * w * (j - a):
+            break
+    return (2.0 * x * (1.0 - x) / (n * f2 * f2) - 2.0 * x * s
+            + x * x * w / (1.0 - x))
+
+
 def family_argmax(n: int) -> OptResult:
     """Maximizer of the family discrepancy in x for fixed tail count n:
-    the array kernel scans, the scalar closed form refines."""
+    the array kernel scans, the exact slope is bisected to adjacent
+    floats."""
     if n < 1:
         raise DomainError("family needs at least one tail color")
-    lo = 1.0 / (n + 1)
-    bracket = bracket_peak(lambda xs: _family_rows(n, xs), lo, 1.0,
-                           ARGMAX_GRID)
-    result = maximize_scalar(
-        lambda x: family_discrepancy(FamilyPoint(n, x)), lo, 1.0, bracket,
-        scanned=ARGMAX_GRID, width=ARGMAX_WIDTH, step=ARGMAX_STEP)
-    return OptResult(*result)
+    return OptResult(*maximize_scalar(
+        lambda x: family_discrepancy(FamilyPoint(n, x)),
+        lambda xs: _family_rows(n, xs), lambda x: _family_slope(n, x),
+        1.0 / (n + 1), 1.0, ARGMAX_GRID))
 
 
 def _horner(coefficients: tuple[float, ...], x: float) -> float:

@@ -20,9 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._optim import bracket_peak
+from ._optim import maximize_scalar
 from .errors import (DomainError, NonPositiveC, NonPositiveParameter,
-                     ToleranceNotMet, UnimodalityError)
+                     ToleranceNotMet)
 from .family_opt import FamilyPoint, OptResult, family_discrepancy
 
 DEFAULT_TOL = 1e-12
@@ -43,12 +43,6 @@ MILLS_SWITCH = 1.0
 
 #: Interval-split depth cap of the adaptive quadrature.
 MAX_DEPTH = 50
-
-#: Empirical finite-size convergence thresholds at the two tabulated
-#: sizes, calibrated once against this implementation (the limit theorem
-#: itself carries no usable rate).
-GAP_AT_1E4 = 5e-3
-GAP_AT_1E6 = 5e-4
 
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_TWO = math.sqrt(2.0)
@@ -232,47 +226,26 @@ def _ell_shoes_diag_slope(a: float) -> float:
                            - _mills_moments(a * _SQRT_TWO)[2]))
 
 
-def _curve_argmax(curve: Callable[[float], float],
-                  slope: Callable[[float], float], tol: float) -> OptResult:
-    """Location and value of the maximum of a closed-form curve on
-    (0, SEARCH_HI).
-
-    A grid scan brackets the peak; the exact slope must be positive at
-    the bracket's left end and negative at its right, and bisection on its
-    sign then narrows the bracket to adjacent floats, the right one the
-    argmax.  tol only keeps its floor check: the answer is the same at
-    every tolerance.
-    """
-    if not tol >= 1e-12:
-        raise DomainError(f"argmax tolerance {tol!r} below the 1e-12 floor")
-    lo, hi = bracket_peak(lambda xs: [curve(x) for x in xs.tolist()],
-                          0.0, SEARCH_HI, ARGMAX_GRID)
-    if not slope(lo) > 0.0 > slope(hi):
-        raise UnimodalityError(
-            f"the slope does not change sign across [{lo!r}, {hi!r}]")
-    evals = ARGMAX_GRID + 2
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if slope(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        evals += 1
-        mid = 0.5 * (lo + hi)
-    return OptResult(hi, curve(hi), (lo, hi), evals + 1)
-
-
 def ell_argmax(tol: float = DEFAULT_TOL) -> OptResult:
     """Location and value of the maximum of ell: the root of its
-    closed-form slope."""
-    return _curve_argmax(_ell_closed, _ell_slope, tol)
+    closed-form slope.  tol only keeps its floor check: the answer is the
+    same at every tolerance."""
+    if not tol >= 1e-12:
+        raise DomainError(f"argmax tolerance {tol!r} below the 1e-12 floor")
+    return OptResult(*maximize_scalar(
+        _ell_closed, lambda xs: [_ell_closed(c) for c in xs.tolist()],
+        _ell_slope, 0.0, SEARCH_HI, ARGMAX_GRID))
 
 
 def ell_shoes_diag_argmax(tol: float = DEFAULT_TOL) -> OptResult:
     """Maximum of the alternating-pairs surface along its diagonal a = b:
-    the root of its closed-form slope."""
-    return _curve_argmax(lambda a: _ell_shoes_closed(a, a),
-                         _ell_shoes_diag_slope, tol)
+    the root of its closed-form slope.  tol only keeps its floor check."""
+    if not tol >= 1e-12:
+        raise DomainError(f"argmax tolerance {tol!r} below the 1e-12 floor")
+    return OptResult(*maximize_scalar(
+        lambda a: _ell_shoes_closed(a, a),
+        lambda xs: [_ell_shoes_closed(a, a) for a in xs.tolist()],
+        _ell_shoes_diag_slope, 0.0, SEARCH_HI, ARGMAX_GRID))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from pairlaw import (THREE_COLOR_ARGMAX, THREE_COLOR_DOUBLED_MAX,
                      family_discrepancy, figure_family_curves, simplex_search,
                      solve_poly)
 from pairlaw.family_opt import (ARGMAX_GRID, CURVE_EDGE, FamilyCurveRow,
-                                OptResult, _family_rows)
+                                OptResult, _family_rows, _family_slope)
 
 # interior maximizers x_n and peak values D(x_n) for n = 1..9, to 20 digits
 X_N = (0.6966599465951643196, 0.5820110139097399105, 0.5160030571683498864,
@@ -23,27 +23,27 @@ D_N = (0.06084679923181354776, 0.08429419234614604446, 0.09766297359542326758,
        0.10661363736945495196, 0.11316011048732238932, 0.11822473613430355437,
        0.12229838762442936532, 0.12566994796517442344, 0.12852218802677888163)
 
-# family_argmax(n) for n = 1..9 as the one-point-at-a-time scan returned
-# it: the array scan must bracket the same grid cell, bit for bit
+# family_argmax(n) for n = 1..9: the array scan must bracket the same grid
+# cell, and the slope bisection land on the same float, bit for bit
 ARGMAX_PINNED = (
-    OptResult(0.6966599466399233, 0.060846799231813686,
-              (0.6966599466399233, 0.6966599530441964), 2096),
-    OptResult(0.5820110139609699, 0.08429419234614599,
-              (0.5820110139609699, 0.5820110231283487), 2097),
-    OptResult(0.5160030572301874, 0.09766297359542331,
-              (0.5160030572301874, 0.5160030625998613), 2097),
-    OptResult(0.4710812368344183, 0.10661363736945517,
-              (0.4710812368344183, 0.4710812479421163), 2097),
-    OptResult(0.4376598565675834, 0.11316011048732233,
-              (0.43765985428978776, 0.4376598565675834), 2097),
-    OptResult(0.4113811480348731, 0.1182247361343034,
-              (0.4113811480348731, 0.41138115494565064), 2097),
-    OptResult(0.3899258771109544, 0.12229838762442935,
-              (0.3899258771109544, 0.3899258916256966), 2097),
-    OptResult(0.3719239305895183, 0.1256699479651744,
-              (0.3719239305895183, 0.3719239357355263), 2097),
-    OptResult(0.3565033914480191, 0.12852218802677884,
-              (0.3565033914480191, 0.3565033963650207), 2097),
+    OptResult(0.6966599465951644, 0.060846799231813464,
+              (0.6966599465951643, 0.6966599465951644), 2093),
+    OptResult(0.58201101390974, 0.0842941923461461,
+              (0.5820110139097399, 0.58201101390974), 2093),
+    OptResult(0.5160030571683499, 0.09766297359542331,
+              (0.5160030571683498, 0.5160030571683499), 2094),
+    OptResult(0.47108123676339403, 0.10661363736945495,
+              (0.471081236763394, 0.47108123676339403), 2094),
+    OptResult(0.43765985648455613, 0.11316011048732233,
+              (0.4376598564845561, 0.43765985648455613), 2094),
+    OptResult(0.41138114794484465, 0.1182247361343034,
+              (0.4113811479448446, 0.41138114794484465), 2095),
+    OptResult(0.3899258770101119, 0.12229838762442946,
+              (0.38992587701011183, 0.3899258770101119), 2095),
+    OptResult(0.3719239304877956, 0.12566994796517417,
+              (0.37192393048779554, 0.3719239304877956), 2095),
+    OptResult(0.35650339133887227, 0.12852218802677873,
+              (0.3565033913388722, 0.35650339133887227), 2095),
 )
 
 
@@ -104,10 +104,40 @@ def test_closed_form_huge_tail_count():
 def test_argmax_against_reference_table():
     for n in range(1, 10):
         r = family_argmax(n)
-        assert abs(r.argmax - X_N[n - 1]) < 1e-8
+        assert abs(r.argmax - X_N[n - 1]) < 1e-15
         assert abs(r.value - D_N[n - 1]) < 1e-13
         assert r.bracket[0] <= r.argmax <= r.bracket[1]
         assert r.evaluations > 0
+
+
+def test_slope_against_an_mpmath_derivative():
+    import mpmath  # a test extra: the package itself needs numpy alone
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+
+    def closed(n, x):
+        # the closed form at 30 digits; the terms rise from 1 to one peak,
+        # so a term below 1e-40 of the sum is past it, on a tail that
+        # cannot reach the 30th digit
+        q = (1 - x) / n
+        t = s = mp.mpf(1)
+        for k in range(n):
+            t *= (k + 2) * (n - k) * q / (k + 1)
+            s += t
+            if t < s * mp.mpf(10) ** -40:
+                break
+        return x * x / (x * x + (1 - x) ** 2 / n) - x * x * s
+
+    rng = np.random.default_rng(11)
+    for i in range(16):
+        n = int(10 ** rng.uniform(0, 6))
+        lo = 1.0 / (n + 1)
+        # half the points across the whole domain, half near the peak
+        hi = 1.0 if i % 2 else min(1.0, lo + 4.0 / math.sqrt(n))
+        x = float(rng.uniform(lo, hi))
+        want = float(mp.diff(lambda v: closed(n, v), mp.mpf(x)))
+        # near the peak the slope's terms are of size sqrt(n) and cancel
+        assert abs(_family_slope(n, x) - want) < 2e-14 * math.sqrt(n), (n, x)
 
 
 def test_argmax_rejects_no_tail():

@@ -8,6 +8,7 @@ import pytest
 from pairlaw import (DomainError, NonPositiveC, NonPositiveParameter,
                      QuadratureResult, ToleranceNotMet, convergence_check, ell,
                      ell_argmax, ell_shoes, ell_shoes_diag_argmax)
+from pairlaw.family_opt import OptResult
 from pairlaw.limit_laws import (_adaptive_simpson, _ell_closed, _ell_shoes_closed,
                                 _ell_shoes_diag_slope, _ell_slope)
 
@@ -149,6 +150,17 @@ def test_limit_constants_to_full_precision():
         assert r.evaluations > 256
         # the tolerance is only floor-checked: the point is the same
         assert argmax(tol=1e-6) == r
+
+
+def test_argmaxes_are_pinned_to_the_bit():
+    # the shared scan-and-bisect driver's points, values, brackets and
+    # evaluation counts (256 scanned + 2 end slopes + steps + 1 value)
+    assert ell_argmax() == OptResult(
+        1.5139940721324001, 0.18320006240871056,
+        (1.5139940721324, 1.5139940721324001), 310)
+    assert ell_shoes_diag_argmax() == OptResult(
+        1.562239440914718, 0.19980867405313235,
+        (1.5622394409147178, 1.562239440914718), 309)
 
 
 def test_closed_forms_match_the_quadrature():
