@@ -23,7 +23,8 @@ from .family_opt import (THREE_COLOR_ARGMAX, THREE_COLOR_DOUBLED_MAX,
                          family_argmax, family_discrepancy,
                          figure_family_curves, simplex_search, solve_poly)
 from .limit_laws import (ConvergenceRow, QuadratureResult, convergence_check,
-                         ell, ell_argmax, ell_shoes, ell_shoes_diag_argmax)
+                         ell, ell_argmax, ell_shoes, ell_shoes_diag_argmax,
+                         ell_shoes_value, ell_value)
 from .pair_laws import (DrawStats, PairLaw, SimReport, derive_m1, derive_m2,
                         discrepancy, draw_stats, m2_oracle_exact, m2_simulate,
                         match_probability, tvd)
@@ -45,8 +46,9 @@ __all__ = [
     "family_discrepancy", "family_argmax", "solve_poly",
     "exact_two_color_extreme", "simplex_search", "figure_family_curves",
     # limit curves and constants
-    "QuadratureResult", "ConvergenceRow", "ell",
-    "ell_argmax", "ell_shoes", "ell_shoes_diag_argmax", "convergence_check",
+    "QuadratureResult", "ConvergenceRow", "ell", "ell_value",
+    "ell_argmax", "ell_shoes", "ell_shoes_value", "ell_shoes_diag_argmax",
+    "convergence_check",
     # alternating left/right collection
     "ShoePair", "ValueWithError", "TrendRow",
     "shoes_match_probability", "shoes_m1", "shoes_m2_exact",

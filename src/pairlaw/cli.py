@@ -21,8 +21,8 @@ from .dist_core import Distribution, RngSeed, validate
 from .errors import (ExcessTruncation, InputError, InternalFault,
                      ToleranceNotMet, UnimodalityError)
 from .family_opt import family_argmax, figure_family_curves, simplex_search
-from .limit_laws import (DEFAULT_TOL, ell, ell_argmax, ell_shoes,
-                         ell_shoes_diag_argmax)
+from .limit_laws import (DEFAULT_TOL, _check_tol, ell, ell_argmax, ell_shoes,
+                         ell_shoes_diag_argmax, ell_shoes_value, ell_value)
 from .pair_laws import derive_m1, derive_m2, tvd
 from .shoes import (SHOES_EXACT_MAX_COLORS, ShoePair, shoes_m1,
                     shoes_m2_exact, shoes_m2_simulate, sup_one_demo)
@@ -44,13 +44,20 @@ class OutputEnvelope:
 
 
 def _envelope(command: str, parameters: dict, columns: list, rows: list,
-              seed: int | None = None, tolerances: dict | None = None) -> OutputEnvelope:
+              seed: int | None = None, tolerances: dict | None = None,
+              diagnostics: dict | None = None) -> OutputEnvelope:
+    """The envelope of one table.  diagnostics says how the run got its
+    results (which path ran, what it truncated); it lands in provenance
+    only when given, so results and CSV never depend on it."""
+    provenance = {"seed": seed, "tolerances": tolerances or {},
+                  "version": __version__}
+    if diagnostics is not None:
+        provenance["diagnostics"] = diagnostics
     return OutputEnvelope(
         command=command,
         parameters=parameters,
         results={"columns": columns, "rows": rows},
-        provenance={"seed": seed, "tolerances": tolerances or {},
-                    "version": __version__},
+        provenance=provenance,
     )
 
 
@@ -134,29 +141,33 @@ def cmd_family(args: argparse.Namespace) -> OutputEnvelope:
     return _envelope("family", params, columns, rows)
 
 
-#: Most adaptive quadratures of one `limit` request: --points of them on a
-#: curve, --points squared on a shoes grid.  At about 1.2 ms a quadrature
-#: (2 cores, numpy 2.4) the cap bounds a request near 13 s; the default
-#: 64-point grid runs 4,096.
-LIMIT_MAX_QUADRATURES = 10 ** 4
+#: Most closed-form evaluations of one `limit` request: --points of them on
+#: a curve, --points squared on a shoes grid.  At up to about 0.1 ms a
+#: shoes-grid point (three Mills-ratio moments; 2 cores, numpy 2.4) the cap
+#: bounds a request near 1 s; the default 64-point grid runs 4,096.
+LIMIT_MAX_EVALUATIONS = 10 ** 4
 
 
 def _ticks(args, dims: int = 1) -> list[float]:
     """The evenly spaced curve (dims 1) or grid (dims 2) points from --lo
-    to --hi, refused before any quadrature past LIMIT_MAX_QUADRATURES."""
+    to --hi, refused before any evaluation past LIMIT_MAX_EVALUATIONS.
+    --tol gets its floor check here, once: the closed forms take none."""
+    _check_tol(args.tol)
     if args.points < 2:
         raise InputError(f"--points must be at least 2, got {args.points}")
-    if args.points ** dims > LIMIT_MAX_QUADRATURES:
+    if args.points ** dims > LIMIT_MAX_EVALUATIONS:
         raise InputError(f"--points {args.points} asks for "
-                         f"{args.points ** dims} quadratures, past the "
-                         f"{LIMIT_MAX_QUADRATURES} cap")
+                         f"{args.points ** dims} evaluations, past the "
+                         f"{LIMIT_MAX_EVALUATIONS} cap")
     return [args.lo + (args.hi - args.lo) * i / (args.points - 1)
             for i in range(args.points)]
 
 
-def _limit_curve(args, name: str, point, argmax) -> tuple[dict, list, list]:
-    """A one-parameter limit curve: its argmax, the point named by --<name>,
-    or its table over the ticks."""
+def _limit_curve(args, name: str, point, value,
+                 argmax) -> tuple[dict, list, list]:
+    """A one-parameter limit curve: its argmax, the point named by --<name>
+    (by quadrature, with its error estimate), or its table over the ticks
+    (from the closed form)."""
     x = getattr(args, name)
     if args.argmax:
         if x is not None:
@@ -169,7 +180,7 @@ def _limit_curve(args, name: str, point, argmax) -> tuple[dict, list, list]:
         return {"mode": "point", name: x}, \
             [name, "value", "abs_error_estimate", "subdivisions"], \
             [[x, r.value, r.abs_error_estimate, r.subdivisions]]
-    rows = [[t, point(t, args.tol).value] for t in _ticks(args)]
+    rows = [[t, value(t)] for t in _ticks(args)]
     return {"mode": "curve", "lo": args.lo, "hi": args.hi,
             "points": args.points}, [name, "value"], rows
 
@@ -181,8 +192,7 @@ def _limit_shoes_grid(args) -> tuple[dict, list, list]:
             ["a", "b", "value", "abs_error_estimate", "subdivisions"], \
             [[args.a, args.b, r.value, r.abs_error_estimate, r.subdivisions]]
     ticks = _ticks(args, 2)
-    rows = [[a, b, ell_shoes(a, b, args.tol).value]
-            for a in ticks for b in ticks]
+    rows = [[a, b, ell_shoes_value(a, b)] for a in ticks for b in ticks]
     return {"mode": "grid", "lo": args.lo, "hi": args.hi,
             "points": args.points}, ["a", "b", "value"], rows
 
@@ -191,13 +201,14 @@ def cmd_limit(args: argparse.Namespace) -> OutputEnvelope:
     if args.kind == "socks":
         if args.a is not None or args.b is not None:
             raise InputError("--a/--b apply to the shoes kinds; use --c")
-        params, columns, rows = _limit_curve(args, "c", ell, ell_argmax)
+        params, columns, rows = _limit_curve(args, "c", ell, ell_value,
+                                             ell_argmax)
     elif args.kind == "shoes-diag":
         if args.c is not None or args.b is not None:
             raise InputError("shoes-diag takes --a alone (or --argmax)")
         params, columns, rows = _limit_curve(
             args, "a", lambda a, tol: ell_shoes(a, a, tol),
-            ell_shoes_diag_argmax)
+            lambda a: ell_shoes_value(a, a), ell_shoes_diag_argmax)
     else:
         if args.argmax or args.c is not None:
             raise InputError("shoes-grid takes --a with --b, or neither "
@@ -205,9 +216,10 @@ def cmd_limit(args: argparse.Namespace) -> OutputEnvelope:
         if (args.a is None) != (args.b is None):
             raise InputError("give both --a and --b for a grid point")
         params, columns, rows = _limit_shoes_grid(args)
+    path = "quadrature" if params["mode"] == "point" else "closed-form"
     params = {"kind": args.kind, **params}
     return _envelope("limit", params, columns, rows,
-                     tolerances={"tol": args.tol})
+                     tolerances={"tol": args.tol}, diagnostics={"path": path})
 
 
 def cmd_search(args: argparse.Namespace) -> OutputEnvelope:
@@ -234,6 +246,7 @@ def cmd_shoes_derive(args: argparse.Namespace) -> OutputEnvelope:
         m2_law = shoes_m2_exact(sp)
         rows += [["m2", i, v, 0.0] for i, v in enumerate(m2_law.probs)]
         distance, error = tvd(m1_law, m2_law), 0.0
+        diagnostics = {"path": "exact"}
     else:
         params["mode"] = "simulate"
         params["trials"] = args.trials
@@ -244,8 +257,10 @@ def cmd_shoes_derive(args: argparse.Namespace) -> OutputEnvelope:
                  enumerate(zip(report.estimated_probs, report.std_errors))]
         distance = tvd(m1_law, report)
         error = 0.5 * math.sqrt(math.fsum(s * s for s in report.std_errors))
+        diagnostics = {"path": "simulated", "truncated": report.truncated}
     rows.append(["discrepancy", None, distance, error])
-    return _envelope("shoes derive", params, columns, rows, seed=seed)
+    return _envelope("shoes derive", params, columns, rows, seed=seed,
+                     diagnostics=diagnostics)
 
 
 def cmd_shoes_sup_demo(args: argparse.Namespace) -> OutputEnvelope:

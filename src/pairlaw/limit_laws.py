@@ -3,13 +3,16 @@
 Along the one-heavy-color family with head mass x = c / sqrt(n), the
 discrepancy converges as n grows to a function ell(c) given by a
 Gaussian-damped integral; the alternating left/right variant has an
-analogous two-parameter surface ell(a, b).  This module evaluates both to
-a requested tolerance with adaptive quadrature, and checks finite-n family
-values against the limit.  Both integrals also have closed forms in the
-scaled Gaussian Mills ratio, and so do their slopes: the maxima
-c* = 1.513994072132 and a* = 1.562239440915 (diagonal a = b) are the roots
-of those slopes, bisected to adjacent floats, with the quadrature as the
-closed forms' independent check.
+analogous two-parameter surface ell(a, b).  Both integrals have closed
+forms in the scaled Gaussian Mills ratio, and so do their slopes.  The
+closed forms serve every value-only table (ell_value and ell_shoes_value
+behind the CLI's curves and grids, and the limit in convergence_check),
+and the maxima c* = 1.513994072132 and a* = 1.562239440915 (diagonal
+a = b) are the roots of the slopes, bisected to adjacent floats.  ell and
+ell_shoes evaluate the integrals by adaptive quadrature to a requested
+tolerance with an error estimate: they serve single points and are the
+closed forms' independent check.  Both routes refuse the same c, a and b
+with the same errors; only the quadrature takes a tolerance.
 """
 
 from __future__ import annotations
@@ -117,8 +120,28 @@ def _adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], upper: float,
 
 
 def _check_tol(tol: float) -> None:
+    """tol at or above MIN_TOL (NaN fails)."""
     if not tol >= MIN_TOL:
         raise DomainError(f"tolerance {tol!r} below the {MIN_TOL} floor")
+
+
+def _check_c(c: float) -> float:
+    """c squared, once c passes the check that the quadrature and the
+    closed form share: c positive with a finite square (NaN fails)."""
+    cc = c * c
+    if not (0.0 < c and cc < math.inf):
+        raise NonPositiveC(f"c must be positive with a finite square, got {c!r}")
+    return cc
+
+
+def _check_ab(a: float, b: float) -> float:
+    """a b, once a and b pass the check that the quadrature and the closed
+    form share: both positive with a finite product and sum (NaN fails)."""
+    ab = a * b
+    if not (0.0 < a and 0.0 < b and ab < math.inf and a + b < math.inf):
+        raise NonPositiveParameter(
+            f"need positive a, b with finite a*b and a+b, got {a!r}, {b!r}")
+    return ab
 
 
 def ell(c: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -132,9 +155,7 @@ def ell(c: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     max(12, 12 / c) that factor alone is below 1e-31, so the tail is cut
     there.
     """
-    cc = c * c
-    if not (0.0 < c and cc < math.inf):
-        raise NonPositiveC(f"c must be positive with a finite square, got {c!r}")
+    cc = _check_c(c)
     _check_tol(tol)
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -153,10 +174,7 @@ def ell_shoes(a: float, b: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     Symmetric in (a, b) by construction: the integrand is literally
     unchanged under swapping them, so no symmetrization step is needed.
     """
-    ab = a * b
-    if not (0.0 < a and 0.0 < b and ab < math.inf and a + b < math.inf):
-        raise NonPositiveParameter(
-            f"need positive a, b with finite a*b and a+b, got {a!r}, {b!r}")
+    ab = _check_ab(a, b)
     _check_tol(tol)
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -186,18 +204,36 @@ def _mills_moments(x: float) -> tuple[float, float, float, float]:
         i1 = 1.0 - x * i0
         i2 = i0 - x * i1
         return i0, i1, i2, 2.0 * i1 - x * i2
-    r1 = r2 = r3 = 0.0
-    for k in range(16 + int(512.0 / (x * x)), 0, -1):
-        r1, r2, r3 = k / (x + r1), r1, r2
+    r1, r2, r3 = _mills_ratios(x)
     i0 = 1.0 / (x + r1)
     i1 = i0 * r1
     i2 = i1 * r2
     return i0, i1, i2, i2 * r3
 
 
+def _mills_ratios(x: float) -> tuple[float, float, float]:
+    """rho_k = I_k / I_{k-1}, k = 1..3, from the continued fraction run
+    backward over 16 + 512 / x^2 terms; full precision from MILLS_SWITCH."""
+    r1 = r2 = r3 = 0.0
+    for k in range(16 + int(512.0 / (x * x)), 0, -1):
+        r1, r2, r3 = k / (x + r1), r1, r2
+    return r1, r2, r3
+
+
 def _ell_closed(c: float) -> float:
-    """ell(c) = c^2 / (1 + c^2) - c^2 (1 - c R(c)), where 1 - c R(c) = I_1(c)."""
+    """ell(c) = c^2 / (1 + c^2) - c^2 (1 - c R(c)), where 1 - c R(c) = I_1(c).
+
+    Past SEARCH_HI, ell ~ 2 / c^2 is the difference of two terms near 1,
+    and the subtraction would lose about c^2 / 2 ulps of it.  There the
+    same value is the product c^2 / (1 + c^2) * c I_0 * rho_1 rho_2, from
+    I_1 = I_0 rho_1 and 1 - c rho_1 = rho_1 rho_2, which stays within a few
+    ulps relative up to the largest c with a finite square.  Below, where
+    both argmaxes scan, the subtraction is within 1e-15 absolute.
+    """
     cc = c * c
+    if c > SEARCH_HI:
+        r1, r2, _ = _mills_ratios(c)
+        return cc / (1.0 + cc) * (c / (c + r1)) * r1 * r2
     return cc / (1.0 + cc) - cc * _mills_moments(c)[1]
 
 
@@ -216,6 +252,22 @@ def _ell_shoes_closed(a: float, b: float) -> float:
     """
     return (_mills_moments(a * _SQRT_HALF)[1] + _mills_moments(b * _SQRT_HALF)[1]
             - _mills_moments((a + b) * _SQRT_HALF)[1] - 1.0 / (1.0 + a * b))
+
+
+def ell_value(c: float) -> float:
+    """ell(c) from its closed form, after the check ell makes of c.  It is
+    within 1e-15 absolute of a 60-digit evaluation over c in [1e-8, 1e8]
+    and within a few ulps relative past SEARCH_HI (checked to c = 1e154)."""
+    _check_c(c)
+    return _ell_closed(c)
+
+
+def ell_shoes_value(a: float, b: float) -> float:
+    """ell(a, b) from its closed form, after the check ell_shoes makes of
+    a and b.  It is within 1e-15 absolute of a 60-digit evaluation over
+    (a, b) in [1e-6, 1e6]^2, the range that was checked."""
+    _check_ab(a, b)
+    return _ell_shoes_closed(a, b)
 
 
 def _ell_shoes_diag_slope(a: float) -> float:
@@ -258,15 +310,14 @@ class ConvergenceRow:
 
 
 def convergence_check(c: float, n_list: Sequence[int]) -> list[ConvergenceRow]:
-    """Finite-size family values against the limit, one row per size.
+    """Finite-size family values against the limit ell(c), taken from its
+    closed form, one row per size.
 
     The family point exists only when n exceeds both 1 / c^2 (head above
     the uniform floor) and c^2 (head mass below one); sizes outside that
     range are domain errors, not silently skipped rows.
     """
-    if c <= 0.0:
-        raise NonPositiveC(f"c must be positive, got {c!r}")
-    limit = ell(c).value
+    limit = ell_value(c)
     rows = []
     for n in n_list:
         size = int(n)

@@ -42,6 +42,11 @@ MAX_HORIZON = 10 ** 8
 #: the estimate quietly.
 TRUNCATION_FRACTION = 1e-6
 
+#: A horizon whose absorption bound (_absorption_bound) is at or below
+#: this is refused with ExcessTruncation before the first draw: the run
+#: would pass with at most about this chance, whatever the trials.
+MIN_ABSORPTION_BOUND = 1e-12
+
 
 @dataclass(frozen=True)
 class ShoePair:
@@ -104,6 +109,20 @@ def _default_horizon(sp: ShoePair) -> int:
     return 2 * k + 2
 
 
+def _absorption_bound(sp: ShoePair, max_steps: int) -> float:
+    """An upper bound on the chance that one walk absorbs within max_steps.
+
+    A walk can absorb only once some color i has been drawn on both
+    sides.  Within T steps the left side draws ceil(T / 2) times and the
+    right side floor(T / 2) times, so by union bounds on each side,
+    independent of each other, and then over colors, the chance is at most
+    sum over i of min(1, k_L p_i) min(1, k_R q_i).
+    """
+    k_left, k_right = (max_steps + 1) // 2, max_steps // 2
+    return math.fsum(min(1.0, k_left * p) * min(1.0, k_right * q)
+                     for p, q in zip(sp.left.probs, sp.right.probs))
+
+
 def shoes_m2_simulate(sp: ShoePair, trials: int, seed: RngSeed,
                       max_steps: int | None = None, *,
                       threads: int | None = None) -> SimReport:
@@ -116,7 +135,10 @@ def shoes_m2_simulate(sp: ShoePair, trials: int, seed: RngSeed,
     survival below HORIZON_SURVIVAL; either kind refused past MAX_HORIZON)
     are dropped from the tally and counted; a truncated fraction reaching
     TRUNCATION_FRACTION raises ExcessTruncation, since truncation
-    preferentially discards slow-absorbing colors.
+    preferentially discards slow-absorbing colors.  A max_steps under which
+    no walk can be expected to absorb (_absorption_bound at or below
+    MIN_ABSORPTION_BOUND) raises it before the first draw; the default
+    horizon always passes, as its bound is at least 1 - HORIZON_SURVIVAL.
     """
     if trials < 1:
         raise DomainError("trials must be at least 1")
@@ -130,6 +152,11 @@ def shoes_m2_simulate(sp: ShoePair, trials: int, seed: RngSeed,
                           f"{MAX_HORIZON}-step cap")
     if max_steps < 2:
         raise DomainError("need at least two steps to complete a pair")
+    bound = _absorption_bound(sp, max_steps)
+    if bound <= MIN_ABSORPTION_BOUND:
+        raise ExcessTruncation(
+            f"a walk absorbs within {max_steps} steps with chance at most "
+            f"{bound!r}, at or below {MIN_ABSORPTION_BOUND}")
     tables = [_alias_tables(sp.left.probs), _alias_tables(sp.right.probs)]
     counts, truncated = _walks(tables, len(sp), trials, seed, max_steps,
                                threads)

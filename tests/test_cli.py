@@ -5,12 +5,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pairlaw
 import pairlaw.cli as cli
+import pairlaw.limit_laws as limit_laws
 import pairlaw.pair_laws as pair_laws
-from pairlaw import ToleranceNotMet, UnimodalityError, ell, ell_shoes
+from pairlaw import (ToleranceNotMet, UnimodalityError, convergence_check, ell,
+                     ell_shoes)
+from pairlaw.limit_laws import _ell_closed
 
 
 def run(capsys, *argv):
@@ -138,7 +142,7 @@ def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
         (["limit", "--kind", "shoes-diag", "--a", "1e200"], {}),
         (["family", "--n", "100000000", "--action", "curve",
           "--samples", "129"], {}),
-        # 10^10 and 10^5 quadratures, past LIMIT_MAX_QUADRATURES
+        # 10^10 and 10^5 evaluations, past LIMIT_MAX_EVALUATIONS
         (["limit", "--kind", "shoes-grid", "--points", "100000"], {}),
         (["limit", "--kind", "socks", "--points", "100000"], {}),
         # an explicit horizon past the step cap on a pair whose walks
@@ -153,12 +157,85 @@ def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
 
 def test_infeasible_simulation_exits_4_in_bounded_time():
     # eleven colors take the simulated path, whose default horizon for a
-    # shared color of left mass 1e-300 is about 5.7e301 steps
+    # shared color of left mass 1e-300 is about 5.7e301 steps; within the
+    # 10^8-step cap, a walk absorbs with chance at most 5e-293
     zeros = ",0" * 9
-    cases = [(["shoes", "derive", "--left", "1e-300,1" + zeros,
-               "--right", "1,0" + zeros, "--trials", "100"], {})]
+    pair = ["shoes", "derive", "--left", "1e-300,1" + zeros,
+            "--right", "1,0" + zeros, "--trials", "100"]
+    cases = [(pair, {}), (pair + ["--max-steps", "100000000"], {})]
     for argv, code, out in _run_bounded(cases):
         assert (code, out) == (4, ""), argv
+
+
+#: Cell texts of every real flag in the fuzz: out of range, degenerate,
+#: non-finite and ordinary.
+FUZZ_REALS = ("-1.5", "0", "1e-300", "1e-8", "0.5", "2.0", "1e8", "1e300",
+              "nan", "inf", "-inf")
+
+
+def _fuzz_argvs(seed: int, count: int) -> list[list[str]]:
+    """count seeded argvs over every subcommand.  Each parses (so argparse
+    never exits: values ride in --flag=value form, as "-inf" alone would
+    read as a flag), and each is small enough to finish in well under a
+    second when it is accepted."""
+    g = np.random.default_rng(seed)
+
+    def pick(*options):
+        return str(options[int(g.integers(len(options)))])
+
+    def real(flag):
+        return f"--{flag}={pick(*FUZZ_REALS)}"
+
+    def dist(m):
+        p = g.dirichlet(np.ones(m))
+        cells = [repr(float(v)) for v in p]
+        if g.random() < 0.25:
+            cells[int(g.integers(m))] = pick(*FUZZ_REALS)
+        return ",".join(cells)
+
+    def limit():
+        kind = pick("socks", "shoes-diag", "shoes-grid")
+        tol = ["--tol=" + pick("1e-12", "1e-6", "1e-15", "nan")]
+        mode = pick("point", "curve", "argmax")
+        if mode == "argmax" and kind != "shoes-grid":
+            return ["--kind", kind, "--argmax"] + tol
+        if mode == "point":
+            point = {"socks": [real("c")], "shoes-diag": [real("a")],
+                     "shoes-grid": [real("a"), real("b")]}[kind]
+            return ["--kind", kind] + point + tol
+        return ["--kind", kind, real("lo"), real("hi"),
+                "--points=" + pick(-1, 0, 1, 2, 5, 9)] + tol
+
+    def shoes():
+        if g.random() < 0.3:
+            return ["sup-demo", "--n", pick("16", "10", "16,20", "0"),
+                    "--trials", pick(0, 1, 300), "--seed", pick(0, 7)]
+        m = int(pick(1, 2, 3, 4, 11))
+        argv = ["derive", "--left=" + dist(m), "--right=" + dist(m),
+                "--trials", pick(0, 1, 300), "--seed", pick(0, 7)]
+        if g.random() < 0.3:
+            argv += ["--max-steps=" + pick(-1, 1, 2, 100, 100000000)]
+        return argv
+
+    makers = {
+        "derive": lambda: ["--dist=" + dist(int(pick(1, 2, 5, 12)))],
+        "family": lambda: ["--n=" + pick(-1, 0, 1, 2, 30), "--action",
+                           pick("max", "curve"), "--samples", pick(0, 1, 2, 9)],
+        "limit": limit,
+        "search": lambda: ["--m=" + pick(0, 1, 2, 3, 5), "--points",
+                           pick(0, 1, 50), "--seed", pick(0, 7)],
+        "shoes": shoes,
+    }
+    names = sorted(makers)  # in turn, so each gets count / 5 argvs
+    return [[name] + makers[name]() + ["--format", pick("csv", "json")]
+            for name in (names[i % len(names)] for i in range(count))]
+
+
+def test_cli_fuzz_exits_with_a_documented_code_in_bounded_time():
+    # exit 5 would be a bug and a traceback or a hang fails the child
+    cases = [(argv, {}) for argv in _fuzz_argvs(1212, 60)]
+    for argv, code, _ in _run_bounded(cases):
+        assert code in (0, 2, 3, 4), argv
 
 
 def test_json_envelope_and_csv_agree_byte_for_byte(capsys):
@@ -209,6 +286,7 @@ def test_limit_point(capsys):
     assert row[0] == 1.514
     assert row[1] == ell(1.514).value  # same call, same digits
     assert envelope["provenance"]["tolerances"] == {"tol": 1e-12}
+    assert envelope["provenance"]["diagnostics"] == {"path": "quadrature"}
 
 
 def test_limit_argmax(capsys):
@@ -240,10 +318,64 @@ def test_limit_curve(capsys):
     code, out, _ = run(capsys, "limit", "--kind", "socks", "--lo", "0.5",
                        "--hi", "2.0", "--points", "4", "--format", "json")
     assert code == 0
-    rows = json.loads(out)["results"]["rows"]
+    envelope = json.loads(out)
+    rows = envelope["results"]["rows"]
     assert [r[0] for r in rows] == [0.5, 1.0, 1.5, 2.0]
     for c, value in rows:
-        assert value == ell(c).value
+        assert value == _ell_closed(c)  # the closed form, bit for bit
+        assert abs(value - ell(c).value) <= 1e-12  # the quadrature oracle
+    assert envelope["provenance"]["diagnostics"] == {"path": "closed-form"}
+
+
+def test_limit_tables_never_run_the_quadrature(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a value-only table ran the quadrature")
+
+    monkeypatch.setattr(limit_laws, "_adaptive_simpson", refuse)
+    for argv in (["socks", "--lo", "0.5", "--hi", "3.0", "--points", "9"],
+                 ["shoes-diag", "--lo", "0.5", "--hi", "3.0", "--points", "9"],
+                 ["shoes-grid", "--lo", "0.5", "--hi", "3.0", "--points", "5"],
+                 ["socks", "--argmax"], ["shoes-diag", "--argmax"]):
+        code, out, _ = run(capsys, "limit", "--kind", *argv, "--format", "json")
+        assert code == 0, argv
+        provenance = json.loads(out)["provenance"]
+        assert provenance["diagnostics"] == {"path": "closed-form"}, argv
+    assert len(convergence_check(1.514, [100, 10 ** 4])) == 2
+    with pytest.raises(AssertionError):  # the point path still does
+        run(capsys, "limit", "--kind", "socks", "--c", "1.0")
+
+
+@pytest.mark.parametrize("kind, lo, hi, tol", [
+    ("socks", "0", "1", "1e-12"), ("socks", "-1.5", "1", "1e-12"),
+    ("socks", "nan", "1", "1e-12"), ("socks", "1", "inf", "1e-12"),
+    ("socks", "1e160", "1", "1e-12"), ("socks", "1", "2", "1e-15"),
+    ("socks", "1", "2", "nan"), ("shoes-diag", "0", "1", "1e-12"),
+    ("shoes-diag", "1e200", "1", "1e-12"), ("shoes-diag", "1", "2", "1e-15"),
+    ("shoes-grid", "1", "0", "1e-12"), ("shoes-grid", "1", "nan", "1e-12"),
+    ("shoes-grid", "1e10", "1e300", "1e-12"),
+    ("shoes-grid", "1e308", "1e308", "1e-12"),
+    ("shoes-grid", "1", "2", "1e-15")])
+def test_limit_tables_refuse_what_the_quadrature_refuses(capsys, kind, lo, hi,
+                                                         tol):
+    # the first refused table point, fed to the quadrature, names the
+    # same error
+    ticks = [float(lo), float(lo) + (float(hi) - float(lo))]
+    points = ([(t,) for t in ticks] if kind == "socks" else
+              [(t, t) for t in ticks] if kind == "shoes-diag" else
+              [(a, b) for a in ticks for b in ticks])
+    quadrature = ell if kind == "socks" else ell_shoes
+    for point in points:
+        try:
+            quadrature(*point, float(tol))
+        except pairlaw.InputError as exc:
+            refusal = type(exc).__name__
+            break
+    else:
+        raise AssertionError("the quadrature takes every table point")
+    code, out, err = run(capsys, "limit", "--kind", kind, f"--lo={lo}",
+                         f"--hi={hi}", "--points", "2", f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert err.startswith(refusal + ": ")
 
 
 def test_limit_flag_conflicts_exit_2(capsys):
@@ -294,6 +426,9 @@ def test_shoes_derive_exact(capsys):
     assert lines[1] == "m1,0,0.9,0"
     assert lines[3] == "m2,0,0.865384615385,0"  # 45/52 to 12 digits
     assert lines[5].startswith("discrepancy,,0.0346153846154,0")
+    _, out, _ = run(capsys, "shoes", "derive", "--left", "0.75,0.25",
+                    "--right", "0.75,0.25", "--format", "json")
+    assert json.loads(out)["provenance"]["diagnostics"] == {"path": "exact"}
 
 
 def test_shoes_derive_exact_near_degenerate_pairs(capsys):
@@ -318,6 +453,8 @@ def test_shoes_derive_simulation_path(capsys):
     envelope = json.loads(out)
     assert envelope["parameters"]["mode"] == "simulate"
     assert envelope["provenance"]["seed"] == 3
+    assert envelope["provenance"]["diagnostics"] == {"path": "simulated",
+                                                     "truncated": 0}
     last = envelope["results"]["rows"][-1]
     assert last[0] == "discrepancy"
     assert last[3] > 0.0  # simulated: a real error bar

@@ -2,15 +2,17 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from pairlaw import (DomainError, NonPositiveC, NonPositiveParameter,
+from pairlaw import (DomainError, InputError, NonPositiveC, NonPositiveParameter,
                      QuadratureResult, ToleranceNotMet, convergence_check, ell,
                      ell_argmax, ell_shoes, ell_shoes_diag_argmax)
 from pairlaw.family_opt import OptResult
 from pairlaw.limit_laws import (_adaptive_simpson, _ell_closed, _ell_shoes_closed,
-                                _ell_shoes_diag_slope, _ell_slope)
+                                _ell_shoes_diag_slope, _ell_slope,
+                                ell_shoes_value, ell_value)
 
 ELL_MAX_C = 1.5139940757525916
 ELL_MAX_VALUE = 0.1832000624087106
@@ -171,6 +173,75 @@ def test_closed_forms_match_the_quadrature():
     pairs = [(a, b) for a in grid for b in grid] + [(0.07, 11.0), (40.0, 45.0)]
     for a, b in pairs:
         assert abs(_ell_shoes_closed(a, b) - ell_shoes(a, b).value) < 1e-12, (a, b)
+
+
+def _mp_i1(x):
+    """I_1(x) = 1 - x R(x) in mpmath, R the scaled Mills ratio."""
+    return 1 - x * mp.sqrt(mp.pi / 2) * mp.exp(x * x / 2) * mp.erfc(x / mp.sqrt(2))
+
+
+def test_closed_forms_match_mpmath_across_the_range():
+    # the same identities at 60 digits: at c = 1e8, ell ~ 2 / c^2 after
+    # about 32 digits cancel, which still leaves some 28
+    worst = 0.0
+    with mp.workdps(60):
+        for c in np.geomspace(1e-8, 1e8, 300).tolist():
+            cc = mp.mpf(c) ** 2
+            want = cc / (1 + cc) - cc * _mp_i1(mp.mpf(c))
+            worst = max(worst, abs(_ell_closed(c) - float(want)))
+        grid = np.geomspace(1e-6, 1e6, 49).tolist()
+        half = mp.sqrt(mp.mpf(0.5))
+        alone = {x: _mp_i1(x * half) for x in grid}
+        for a in grid:
+            for b in grid:
+                want = (alone[a] + alone[b] - _mp_i1((mp.mpf(a) + b) * half)
+                        - 1 / (1 + mp.mpf(a) * b))
+                worst = max(worst, abs(_ell_shoes_closed(a, b) - float(want)))
+    assert worst < 1e-15
+
+
+#: c, and (a, b), that the quadrature refuses.
+SOCKS_REFUSED = [0.0, -1.5, math.nan, -math.inf, math.inf, 1e160]
+SHOES_REFUSED = [(1.0, 0.0), (-2.0, 1.0), (math.nan, 1.0), (1.0, math.nan),
+                 (math.inf, 1.0), (1e200, 1e200), (1e300, 1e10),
+                 (1e308, 1e308)]
+
+
+def _refusal(call, *args):
+    with pytest.raises(InputError) as exc:
+        call(*args)
+    return type(exc.value)
+
+
+@pytest.mark.parametrize("c", SOCKS_REFUSED)
+def test_closed_form_refuses_what_the_quadrature_refuses(c):
+    kind = _refusal(ell, c)
+    assert _refusal(ell_value, c) is kind
+    assert _refusal(convergence_check, c, [100]) is kind
+
+
+@pytest.mark.parametrize("a, b", SHOES_REFUSED)
+def test_closed_surface_refuses_what_the_quadrature_refuses(a, b):
+    assert _refusal(ell_shoes_value, a, b) is _refusal(ell_shoes, a, b)
+
+
+def test_closed_form_entry_points_are_the_closed_forms():
+    for x in (1e-8, 0.3, 1.0, 1.514, 40.0, 1e8):
+        assert ell_value(x) == _ell_closed(x)
+        assert ell_shoes_value(x, 2.0) == _ell_shoes_closed(x, 2.0)
+
+
+def test_closed_form_is_relative_exact_for_large_c():
+    # ell ~ 2 / c^2 there, where a subtraction of two terms near 1 would
+    # print round-off near 1e-16 in its place.  Substituting u = c t and
+    # integrating by parts, ell(c) = 1 / (1 + c^2) times the integral over
+    # u > 0 of u^2 exp(-u - u^2 / (2 c^2)): a reference with no cancellation
+    with mp.workdps(30):
+        for c in (60.0, 1e4, 1e8, 1e10, 1e100, 1e150, 1e154):
+            cc = mp.mpf(c) ** 2
+            want = mp.quad(lambda u: u * u * mp.exp(-u - u * u / (2 * cc)),
+                           [0, mp.inf]) / (1 + cc)
+            assert abs(_ell_closed(c) - want) <= 1e-15 * want, c
 
 
 def test_slopes_are_derivatives_of_the_closed_forms():
