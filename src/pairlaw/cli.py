@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import __version__
 from .dist_core import Distribution, RngSeed, validate
@@ -82,9 +82,53 @@ def csv_from_results(results: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Types that the JSON encoder writes as one token.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json(value, depth: int = 0) -> str:
+    """The text json.dumps(value, indent=2) gives for a value nested
+    `depth` levels deep, with no copy of the value and with the C encoder
+    writing the tokens, which it does only without an indent.
+
+    A flat list or dict (scalar items) is one C call whose item separator
+    carries the newline and the indent.  A table of flat rows is one C
+    call too, its separator indented as for the cells; the rows part at
+    "],<newline><indent>[", which only a row boundary can spell, since a
+    JSON string never holds a raw newline.  Anything else is walked item
+    by item.
+    """
+    if isinstance(value, dict):
+        items, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = value, "[]"
+    else:
+        return json.dumps(value)
+    if not value:
+        return brackets
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    if set(map(type, items)) <= _SCALARS:
+        body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+    elif brackets == "[]" and set(map(type, value)) <= {list, tuple} and \
+            {type(cell) for row in value for cell in row} <= _SCALARS:
+        cell = inner + "  "
+        rows = json.dumps(value, separators=("," + cell, ": "))[2:-2]
+        body = ("," + inner).join(f"[{cell}{row}{inner}]" if row else "[]"
+                                  for row in rows.split(f"],{cell}["))
+    elif brackets == "{}":  # each key as the encoder writes a key
+        body = ("," + inner).join(f"{json.dumps({key: 0})[1:-4]}: "
+                                  f"{_json(item, depth + 1)}"
+                                  for key, item in value.items())
+    else:
+        body = ("," + inner).join(_json(item, depth + 1) for item in value)
+    return brackets[0] + inner + body + outer + brackets[1]
+
+
 def render(envelope: OutputEnvelope, fmt: str) -> str:
+    """The envelope as indented JSON, or its results table as CSV."""
     if fmt == "json":
-        return json.dumps(asdict(envelope), indent=2) + "\n"
+        return _json(vars(envelope)) + "\n"
     return csv_from_results(envelope.results)
 
 

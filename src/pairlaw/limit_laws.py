@@ -44,6 +44,11 @@ ARGMAX_GRID = 256
 #: underflows past x = 38.
 MILLS_SWITCH = 1.0
 
+#: Past this t the Gaussian damping of either integrand, e^{-t^2 / 2} or
+#: e^{-t^2}, is below 1e-300, so the quadrature's range stops here however
+#: small c, a or b make max(12, 12 / c); it also keeps t * t finite.
+DAMPED_CUTOFF = 38.0
+
 #: Interval-split depth cap of the adaptive quadrature.
 MAX_DEPTH = 50
 
@@ -153,7 +158,7 @@ def ell(c: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     head weight.  The integrand is the second-arrival density of a rate-c
     Poisson process damped by the no-tail-pair factor exp(-t^2 / 2); past
     max(12, 12 / c) that factor alone is below 1e-31, so the tail is cut
-    there.
+    there, or at DAMPED_CUTOFF if that comes first.
     """
     cc = _check_c(c)
     _check_tol(tol)
@@ -162,7 +167,8 @@ def ell(c: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
         return cc * t * np.exp(-c * t - 0.5 * t * t)
 
     value, err, splits = _adaptive_simpson(
-        integrand, max(12.0, 12.0 / c), tol, scale=min(1.0, 1.0 / c))
+        integrand, min(max(12.0, 12.0 / c), DAMPED_CUTOFF), tol,
+        scale=min(1.0, 1.0 / c))
     return QuadratureResult(cc / (1.0 + cc) - value, err, splits)
 
 
@@ -173,6 +179,8 @@ def ell_shoes(a: float, b: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     (a e^{-a t} + b e^{-b t} - (a + b) e^{-(a+b) t}) e^{-t^2} dt.
     Symmetric in (a, b) by construction: the integrand is literally
     unchanged under swapping them, so no symmetrization step is needed.
+    The range is cut at max(12, 12 / min(a, b)) or DAMPED_CUTOFF, whichever
+    comes first.
     """
     ab = _check_ab(a, b)
     _check_tol(tol)
@@ -181,9 +189,9 @@ def ell_shoes(a: float, b: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
         return (a * np.exp(-a * t) + b * np.exp(-b * t)
                 - (a + b) * np.exp(-(a + b) * t)) * np.exp(-t * t)
 
-    small = min(a, b)
+    upper = min(max(12.0, 12.0 / min(a, b)), DAMPED_CUTOFF)
     value, err, splits = _adaptive_simpson(
-        integrand, max(12.0, 12.0 / small), tol, scale=min(1.0, 1.0 / (a + b)))
+        integrand, upper, tol, scale=min(1.0, 1.0 / (a + b)))
     return QuadratureResult(ab / (1.0 + ab) - value, err, splits)
 
 

@@ -37,6 +37,11 @@ ORACLE_MAX_COLORS = 20
 #: passes t = 490, where prod_j (1 + p_j t) can reach e^t and overflow.
 LAGUERRE_MAX_COLORS = 256
 
+#: Entries of one block of Gauss nodes in _poisson_sums: a one-row
+#: source of up to LAGUERRE_MAX_COLORS colors takes all its nodes in one
+#: pass, and a block of colors x rows past it takes one node a pass.
+NODE_GROUP_ENTRIES = 1 << 16
+
 #: Derived laws must renormalize to one at least this well.
 LAW_SUM_TOL = 1e-10
 
@@ -125,10 +130,9 @@ def _gauss(diag: np.ndarray, off: np.ndarray,
 
 
 @functools.lru_cache(maxsize=None)
-def _laguerre(n: int) -> tuple[list[float], list[float]]:
+def _laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss rule of the weight e^{-t} on (0, inf)."""
-    rule = _gauss(np.arange(1.0, 2.0 * n, 2.0), np.arange(1.0, n), 1.0)
-    return tuple(v.tolist() for v in rule)
+    return _gauss(np.arange(1.0, 2.0 * n, 2.0), np.arange(1.0, n), 1.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,11 +156,20 @@ def _poisson_sums(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     [0, 40 / sqrt(f_2) + 40] take factors (1 + p_j t) e^{-p_j t} <= 1,
     which cannot overflow.  Every node adds positive terms, and only
     products over one row's colors mix entries.
+
+    The nodes run in groups of one (nodes, colors, rows) block of at most
+    NODE_GROUP_ENTRIES entries (one node when a block alone is larger),
+    in one reused buffer, and a second for the panel rule's damped
+    factors.  Each entry sees the same operations in the same order
+    whatever the grouping: the products reduce over the colors one by
+    one, and the nodes fold into both sums in node order, so a row's bits
+    do not depend on the rows beside it.
     """
     Q = np.ascontiguousarray(P.T)
-    exact = Q.shape[0] <= LAGUERRE_MAX_COLORS
+    m, rows = Q.shape
+    exact = m <= LAGUERRE_MAX_COLORS
     if exact:
-        nodes, weights = _laguerre(Q.shape[0] // 2 + 1)
+        nodes, weights = (v[:, None] for v in _laguerre(m // 2 + 1))
     else:  # row sums run along contiguous rows, as in a one-row block
         P = np.ascontiguousarray(P)
         unit, unit_weights = _panels()
@@ -166,16 +179,26 @@ def _poisson_sums(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         weights = unit_weights[:, None] * span * np.exp(
             nodes * (P.sum(axis=1) - 1.0))
     acc = np.zeros_like(Q)
-    total = np.zeros(Q.shape[1])
-    X = np.empty_like(Q)
-    for t, w in zip(nodes, weights):
-        np.multiply(Q, t, out=X)
-        X += 1.0
-        F = np.multiply.reduce(X if exact else X * np.exp(1.0 - X), axis=0)
-        F *= w
-        total += F
+    total = np.zeros(rows)
+    group = max(1, NODE_GROUP_ENTRIES // Q.size)
+    X = np.empty((min(group, len(nodes)), m, rows))
+    damped = X if exact else np.empty_like(X)
+    for start in range(0, len(nodes), group):
+        t = nodes[start:start + group]
+        x, d = X[:len(t)], damped[:len(t)]
+        np.multiply(Q, t[:, None], out=x)
+        x += 1.0
+        if not exact:
+            np.subtract(1.0, x, out=d)
+            np.exp(d, out=d)
+            d *= x
+        F = np.multiply.reduce(d, axis=1)
+        F *= weights[start:start + group]
+        for f in F:  # not F.sum(axis=0), which may add pairwise
+            total += f
         F *= t
-        acc += np.divide(F, X, out=X)
+        for a in np.divide(F[:, None], x, out=x):
+            acc += a
     return acc, total
 
 

@@ -1,5 +1,6 @@
 """Command line: envelope shape, formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pairlaw.cli as cli
 import pairlaw.limit_laws as limit_laws
 import pairlaw.pair_laws as pair_laws
 from pairlaw import (ToleranceNotMet, UnimodalityError, convergence_check, ell,
-                     ell_shoes)
+                     ell_shoes, ell_shoes_value)
 from pairlaw.limit_laws import _ell_closed
 
 
@@ -232,10 +233,88 @@ def _fuzz_argvs(seed: int, count: int) -> list[list[str]]:
 
 
 def test_cli_fuzz_exits_with_a_documented_code_in_bounded_time():
-    # exit 5 would be a bug and a traceback or a hang fails the child
+    # exit 5 would be a bug and a traceback or a hang fails the child; an
+    # accepted JSON request must print the standard library's layout
     cases = [(argv, {}) for argv in _fuzz_argvs(1212, 60)]
-    for argv, code, _ in _run_bounded(cases):
+    for argv, code, out in _run_bounded(cases):
         assert code in (0, 2, 3, 4), argv
+        if code == 0 and argv[-1] == "json":
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+def _reference_json(envelope) -> str:
+    """The layout render must reproduce: a deep copy through asdict and
+    the standard library's indenting encoder."""
+    return json.dumps(dataclasses.asdict(envelope), indent=2) + "\n"
+
+
+#: One quick request of every subcommand and mode.
+_ELEVEN = ",".join(["0.0909090909090909"] * 10 + ["0.090909090909091"])
+EVERY_MODE = [
+    ["derive", "--dist", "0.5,0.3,0.2"],
+    ["derive", "--dist", "0.5,0.5", "--method", "m1"],
+    ["derive", "--dist", "0.7,0.2,0.1,0.0", "--method", "m2"],
+    ["family", "--n", "3"],
+    ["family", "--n", "3", "--action", "curve", "--samples", "5"],
+    ["limit", "--kind", "socks", "--c", "1.5"],
+    ["limit", "--kind", "socks", "--points", "4"],
+    ["limit", "--kind", "socks", "--argmax", "--tol", "1e-6"],
+    ["limit", "--kind", "shoes-diag", "--a", "1.5"],
+    ["limit", "--kind", "shoes-diag", "--lo", "0.5", "--points", "3"],
+    ["limit", "--kind", "shoes-diag", "--argmax", "--tol", "1e-6"],
+    ["limit", "--kind", "shoes-grid", "--a", "0.5", "--b", "2"],
+    ["limit", "--kind", "shoes-grid", "--points", "3"],
+    ["search", "--m", "3", "--points", "50", "--seed", "1"],
+    ["shoes", "derive", "--left", "0.75,0.25", "--right", "0.5,0.5"],
+    ["shoes", "derive", "--left", _ELEVEN, "--right", _ELEVEN,
+     "--trials", "300", "--seed", "2"],
+    ["shoes", "sup-demo", "--n", "16,20", "--trials", "300"],
+]
+
+#: Strings that a row split or a careless escape would get wrong.
+AWKWARD = ["a,b", 'say "hi"', "]", "[", "],\n      [", "x\ny", "Ø ½ 猫 \u2028",
+           "", "\\", "]]"]
+
+
+def _hand_made_envelopes():
+    nan, inf = float("nan"), float("inf")
+    env = cli._envelope
+    yield env("empty", {}, [], [])
+    yield env("empty rows", {"dist": []}, ["a", "b"], [])
+    yield env("empty row", {"nested": {}}, ["a"], [[]])
+    yield env("specials", {"x": None, "y": nan, "z": [inf, -inf, nan, None]},
+              ["v"], [[nan], [inf], [-inf], [None], [True, False]])
+    yield env("mixed", {"n": 3, "f": 3.0, "l": [1, 1.0, -0.0, 10**20, 1e300]},
+              ["i", "f"], [[1, 1.0], [2, 2.5e-300], [0, -0.0]])
+    yield env("ragged", {}, ["a", "b", "c"],
+              [[1], [], [1, 2, 3], [None, "x"], [], [4.5]],
+              diagnostics={"path": "x", "inner": {"deep": {"deeper": [1, 2]},
+                                                  "empty": {}, "list": []}})
+    yield env("one cell", {}, ["a"], [[7]], seed=3, tolerances={"tol": 1e-6})
+    yield env("strings", {s: s for s in AWKWARD}, AWKWARD,
+              [[s] for s in AWKWARD] + [AWKWARD, [AWKWARD[4], 1.0]],
+              diagnostics={s: {s: [s]} for s in AWKWARD})
+    # nested containers, which no command prints, take the item-by-item walk
+    yield cli.OutputEnvelope("raw", {"t": (1, 2)},
+                             {"rows": [(1, [2, [3]]), [4, {"k": [5]}]]},
+                             {"diagnostics": {"mixed": [[1], 2, {"a": []}]},
+                              7: {None: [1.5]}})
+
+
+def test_render_matches_the_standard_encoder_byte_for_byte(monkeypatch):
+    envelopes = []
+    for argv in EVERY_MODE:
+        args = cli.build_parser().parse_args(argv + ["--format", "json"])
+        envelopes.append(args.handler(args))
+    envelopes += _hand_made_envelopes()
+    want = [_reference_json(envelope) for envelope in envelopes]
+
+    def python_encoder(*args, **kwargs):
+        raise AssertionError("render reached the pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+    for envelope, text in zip(envelopes, want):
+        assert cli.render(envelope, "json") == text, envelope.command
 
 
 def test_json_envelope_and_csv_agree_byte_for_byte(capsys):
@@ -312,6 +391,29 @@ def test_limit_shoes_grid_point(capsys):
     row = json.loads(out)["results"]["rows"][0]
     assert row[:2] == [0.5, 2.0]
     assert row[2] == ell_shoes(0.5, 2.0).value
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "shoes-diag", "--a", "1e-300"],
+    ["--kind", "shoes-grid", "--a", "1e-300", "--b", "2"],
+    ["--kind", "socks", "--c", "1e-300"],
+])
+def test_tiny_limit_points_print_no_warning(argv):
+    # the quadrature ranges once reached t near 1.2e301, where t * t
+    # overflowed in numpy with a warning on stderr
+    src = os.path.dirname(os.path.dirname(pairlaw.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "pairlaw.cli",
+         "limit", *argv, "--format", "json"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    envelope = json.loads(proc.stdout)
+    tol = envelope["provenance"]["tolerances"]["tol"]
+    *point, value, error, _ = envelope["results"]["rows"][0]
+    closed = (_ell_closed(point[0]) if argv[1] == "socks"
+              else ell_shoes_value(point[0], point[-1]))
+    assert abs(value - closed) <= tol and 0.0 <= error <= tol
 
 
 def test_limit_curve(capsys):

@@ -1,6 +1,7 @@
 """The two pair laws, their discrepancy, and the exact/simulated oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,3 +259,52 @@ def test_laguerre_and_panel_rules_agree(monkeypatch):
         panel, panel_totals = _poisson_sums(block)
         assert np.all(np.abs(panel - sums) <= 1e-13 * sums)
         assert np.all(np.abs(panel_totals - totals) <= 1e-13 * totals)
+
+
+def test_node_groups_keep_every_bit(monkeypatch):
+    # one node a pass, the default groups and nearly all nodes in one pass
+    # give the same bits, on both rules and at every block width
+    rng = np.random.default_rng(41)
+    blocks = [rng.dirichlet(np.full(m, alpha), size=rows)
+              for m in (*range(2, 13), 255, 256, 257, 300)
+              for rows in (1, 3, 64) for alpha in (0.4, 2.0)]
+    runs = []
+    for budget in (1, pair_laws.NODE_GROUP_ENTRIES, 1 << 22):
+        monkeypatch.setattr(pair_laws, "NODE_GROUP_ENTRIES", budget)
+        runs.append([_poisson_sums(block) for block in blocks])
+    for block, *sums in zip(blocks, *runs):
+        for acc, total in sums[1:]:
+            assert np.array_equal(acc, sums[0][0]), block.shape
+            assert np.array_equal(total, sums[0][1]), block.shape
+
+
+def _node_loop(P):
+    """The Laguerre rule one node a pass in one colors x rows buffer: the
+    footprint that grouping must not exceed by more than a group."""
+    Q = np.ascontiguousarray(P.T)
+    nodes, weights = pair_laws._laguerre(Q.shape[0] // 2 + 1)
+    acc = np.zeros_like(Q)
+    total = np.zeros(Q.shape[1])
+    X = np.empty_like(Q)
+    for t, w in zip(nodes.tolist(), weights.tolist()):
+        np.multiply(Q, t, out=X)
+        X += 1.0
+        F = np.multiply.reduce(X, axis=0)
+        F *= w
+        total += F
+        F *= t
+        acc += np.divide(F, X, out=X)
+    return acc, total
+
+
+def test_node_groups_allocate_no_more_than_a_node_loop():
+    P = np.random.default_rng(43).dirichlet(np.ones(12), size=100_000)
+    peaks, results = [], []
+    for kernel in (_node_loop, _poisson_sums):
+        tracemalloc.start()
+        results.append(kernel(P))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 8 * pair_laws.NODE_GROUP_ENTRIES, peaks
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
