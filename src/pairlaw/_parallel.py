@@ -11,7 +11,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
-from .errors import InputError
+from .errors import DomainError, InputError
 
 T = TypeVar("T")
 
@@ -38,11 +38,21 @@ def effective_threads(threads: int | None) -> int:
 SIM_CHUNK = 1 << 16
 
 
+#: Most rows of one plan: search points or simulated walks, 1,000 times
+#: the CLI's default --trials.  On 2 cores (numpy 2.4) it bounds an m = 3
+#: search near 2.5 min (0.15 s per 10^6 points) and three-color socks walks
+#: near 1 min; a witness-family walk at 10^4 colors costs 8 to 20 us, so
+#: there it bounds about 2 to 6 h.
+MAX_ROWS = 10 ** 9
+
+
 def _blocks(total: int, row_bytes: int) -> list[tuple[int, int]]:
     """(block index, row count) pairs covering total rows in equal blocks,
-    the last one short.  Blocks shrink below SIM_CHUNK rows only to keep a
-    block's row_bytes-wide working matrix near 64 MB; the plan depends on
-    nothing else."""
+    the last one short, refused before any planning past MAX_ROWS.  Blocks
+    shrink below SIM_CHUNK rows only to keep a block's row_bytes-wide
+    working matrix near 64 MB; the plan depends on nothing else."""
+    if total > MAX_ROWS:
+        raise DomainError(f"{total} rows pass the {MAX_ROWS}-row cap")
     chunk = min(SIM_CHUNK, max(64, (1 << 26) // row_bytes))
     return [(block, min(chunk, total - start))
             for block, start in enumerate(range(0, total, chunk))]

@@ -11,6 +11,7 @@ truncation, 5 an internal fault (a bug, not bad input).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -192,11 +193,9 @@ def cmd_family(args: argparse.Namespace) -> OutputEnvelope:
 LIMIT_MAX_EVALUATIONS = 10 ** 4
 
 
-def _ticks(args, dims: int = 1) -> list[float]:
+def _ticks(args, dims: int) -> list[float]:
     """The evenly spaced curve (dims 1) or grid (dims 2) points from --lo
-    to --hi, refused before any evaluation past LIMIT_MAX_EVALUATIONS.
-    --tol gets its floor check here, once: the closed forms take none."""
-    _check_tol(args.tol)
+    to --hi, refused before any evaluation past LIMIT_MAX_EVALUATIONS."""
     if args.points < 2:
         raise InputError(f"--points must be at least 2, got {args.points}")
     if args.points ** dims > LIMIT_MAX_EVALUATIONS:
@@ -207,63 +206,51 @@ def _ticks(args, dims: int = 1) -> list[float]:
             for i in range(args.points)]
 
 
-def _limit_curve(args, name: str, point, value,
-                 argmax) -> tuple[dict, list, list]:
-    """A one-parameter limit curve: its argmax, the point named by --<name>
-    (by quadrature, with its error estimate), or its table over the ticks
-    (from the closed form)."""
-    x = getattr(args, name)
-    if args.argmax:
-        if x is not None:
-            raise InputError(f"--argmax locates the maximum; drop --{name}")
-        opt = argmax(args.tol)
-        return {"mode": "argmax"}, ["argmax", "value", "evaluations"], \
-            [[opt.argmax, opt.value, opt.evaluations]]
-    if x is not None:
-        r = point(x, args.tol)
-        return {"mode": "point", name: x}, \
-            [name, "value", "abs_error_estimate", "subdivisions"], \
-            [[x, r.value, r.abs_error_estimate, r.subdivisions]]
-    rows = [[t, value(t)] for t in _ticks(args)]
-    return {"mode": "curve", "lo": args.lo, "hi": args.hi,
-            "points": args.points}, [name, "value"], rows
-
-
-def _limit_shoes_grid(args) -> tuple[dict, list, list]:
-    if args.a is not None and args.b is not None:
-        r = ell_shoes(args.a, args.b, args.tol)
-        return {"mode": "point", "a": args.a, "b": args.b}, \
-            ["a", "b", "value", "abs_error_estimate", "subdivisions"], \
-            [[args.a, args.b, r.value, r.abs_error_estimate, r.subdivisions]]
-    ticks = _ticks(args, 2)
-    rows = [[a, b, ell_shoes_value(a, b)] for a in ticks for b in ticks]
-    return {"mode": "grid", "lo": args.lo, "hi": args.hi,
-            "points": args.points}, ["a", "b", "value"], rows
-
-
 def cmd_limit(args: argparse.Namespace) -> OutputEnvelope:
-    if args.kind == "socks":
-        if args.a is not None or args.b is not None:
-            raise InputError("--a/--b apply to the shoes kinds; use --c")
-        params, columns, rows = _limit_curve(args, "c", ell, ell_value,
-                                             ell_argmax)
-    elif args.kind == "shoes-diag":
-        if args.c is not None or args.b is not None:
-            raise InputError("shoes-diag takes --a alone (or --argmax)")
-        params, columns, rows = _limit_curve(
-            args, "a", lambda a, tol: ell_shoes(a, a, tol),
-            lambda a: ell_shoes_value(a, a), ell_shoes_diag_argmax)
+    """One limit surface: its value at the point its flags name, by
+    quadrature with an error estimate; else its argmax or its table over
+    the ticks, from the closed forms, whose only use of --tol is its floor
+    check."""
+    # kind: (parameter flags, quadrature at a point, closed form, argmax);
+    # built per call, so that a name rebound in this module takes effect
+    flags, point, value, argmax = {
+        "socks": (("c",), ell, ell_value, ell_argmax),
+        "shoes-diag": (("a",), lambda a, tol: ell_shoes(a, a, tol),
+                       lambda a: ell_shoes_value(a, a), ell_shoes_diag_argmax),
+        "shoes-grid": (("a", "b"), ell_shoes, ell_shoes_value, None),
+    }[args.kind]
+    given = [name for name in ("c", "a", "b") if getattr(args, name) is not None]
+    if not set(given) <= set(flags) or 0 < len(given) < len(flags):
+        raise InputError(f"{args.kind} takes "
+                         f"{' with '.join('--' + name for name in flags)} "
+                         f"for a point, or none")
+    if args.argmax and (given or argmax is None):
+        raise InputError("--argmax takes no point, and only socks and "
+                         "shoes-diag have one")
+    if given:
+        xs = [getattr(args, name) for name in flags]
+        r = point(*xs, args.tol)
+        params = {"mode": "point", **dict(zip(flags, xs))}
+        columns = [*flags, "value", "abs_error_estimate", "subdivisions"]
+        rows = [[*xs, r.value, r.abs_error_estimate, r.subdivisions]]
     else:
-        if args.argmax or args.c is not None:
-            raise InputError("shoes-grid takes --a with --b, or neither "
-                             "for a grid")
-        if (args.a is None) != (args.b is None):
-            raise InputError("give both --a and --b for a grid point")
-        params, columns, rows = _limit_shoes_grid(args)
-    path = "quadrature" if params["mode"] == "point" else "closed-form"
-    params = {"kind": args.kind, **params}
-    return _envelope("limit", params, columns, rows,
-                     tolerances={"tol": args.tol}, diagnostics={"path": path})
+        _check_tol(args.tol)
+        if args.argmax:
+            opt = argmax()
+            params = {"mode": "argmax"}
+            columns = ["argmax", "value", "evaluations"]
+            rows = [[opt.argmax, opt.value, opt.evaluations]]
+        else:
+            dims = len(flags)
+            rows = [[*xs, value(*xs)] for xs in
+                    itertools.product(_ticks(args, dims), repeat=dims)]
+            params = {"mode": "curve" if dims == 1 else "grid", "lo": args.lo,
+                      "hi": args.hi, "points": args.points}
+            columns = [*flags, "value"]
+    return _envelope("limit", {"kind": args.kind, **params}, columns, rows,
+                     tolerances={"tol": args.tol},
+                     diagnostics={"path": "quadrature" if given
+                                  else "closed-form"})
 
 
 def cmd_search(args: argparse.Namespace) -> OutputEnvelope:

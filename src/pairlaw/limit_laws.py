@@ -12,7 +12,8 @@ a = b) are the roots of the slopes, bisected to adjacent floats.  ell and
 ell_shoes evaluate the integrals by adaptive quadrature to a requested
 tolerance with an error estimate: they serve single points and are the
 closed forms' independent check.  Both routes refuse the same c, a and b
-with the same errors; only the quadrature takes a tolerance.
+with the same errors; only the quadrature takes a tolerance, and neither
+argmax does.
 """
 
 from __future__ import annotations
@@ -286,22 +287,17 @@ def _ell_shoes_diag_slope(a: float) -> float:
                            - _mills_moments(a * _SQRT_TWO)[2]))
 
 
-def ell_argmax(tol: float = DEFAULT_TOL) -> OptResult:
+def ell_argmax() -> OptResult:
     """Location and value of the maximum of ell: the root of its
-    closed-form slope.  tol only keeps its floor check: the answer is the
-    same at every tolerance."""
-    if not tol >= 1e-12:
-        raise DomainError(f"argmax tolerance {tol!r} below the 1e-12 floor")
+    closed-form slope."""
     return OptResult(*maximize_scalar(
         _ell_closed, lambda xs: [_ell_closed(c) for c in xs.tolist()],
         _ell_slope, 0.0, SEARCH_HI, ARGMAX_GRID))
 
 
-def ell_shoes_diag_argmax(tol: float = DEFAULT_TOL) -> OptResult:
+def ell_shoes_diag_argmax() -> OptResult:
     """Maximum of the alternating-pairs surface along its diagonal a = b:
-    the root of its closed-form slope.  tol only keeps its floor check."""
-    if not tol >= 1e-12:
-        raise DomainError(f"argmax tolerance {tol!r} below the 1e-12 floor")
+    the root of its closed-form slope."""
     return OptResult(*maximize_scalar(
         lambda a: _ell_shoes_closed(a, a),
         lambda xs: [_ell_shoes_closed(a, a) for a in xs.tolist()],

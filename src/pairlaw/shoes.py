@@ -174,20 +174,20 @@ class ValueWithError:
     error: float
 
 
-def shoes_discrepancy(sp: ShoePair, exact_if_small: bool = True,
-                      trials: int = 1_000_000, seed: RngSeed | None = None,
+def shoes_discrepancy(sp: ShoePair, trials: int = 1_000_000,
+                      seed: RngSeed | None = None,
                       max_steps: int | None = None, *,
                       threads: int | None = None) -> ValueWithError:
     """Total variation distance between the two alternating pair laws.
 
-    Solved exactly when the color count allows it and exact_if_small is
-    left on; otherwise estimated by simulation, which needs a seed.  The
+    Solved exactly when the color count allows it; otherwise estimated by
+    simulation, which needs a seed.  The
     error field propagates the per-color binomial variances through the
     half-L1 form (the deviations are negatively correlated, so this is an
     upper bound on the one-sigma error).
     """
     m1 = shoes_m1(sp)
-    if exact_if_small and len(sp) <= SHOES_EXACT_MAX_COLORS:
+    if len(sp) <= SHOES_EXACT_MAX_COLORS:
         return ValueWithError(tvd(m1, shoes_m2_exact(sp)), 0.0)
     if seed is None:
         raise DomainError("the simulation path needs a seed")
@@ -232,8 +232,7 @@ def sup_one_demo(n_list: Sequence[int], trials: int, seed: RngSeed, *,
     """
     rows = []
     for j, n in enumerate(n_list):
-        est = shoes_discrepancy(witness_family(int(n)), exact_if_small=False,
-                                trials=trials, seed=seed.stream(j),
-                                threads=threads)
+        est = shoes_discrepancy(witness_family(int(n)), trials=trials,
+                                seed=seed.stream(j), threads=threads)
         rows.append(TrendRow(int(n), est.value, est.error))
     return rows

@@ -151,6 +151,10 @@ def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
         (["shoes", "derive", "--left", "1e-300,1" + ",0" * 9,
           "--right", "1,0" + ",0" * 9, "--trials", "100",
           "--max-steps", "1000000000000"], {}),
+        # 10^12 search points and walks, past the row cap: refused before
+        # the block plan is built
+        (["search", "--m", "3", "--points", "1000000000000"], {}),
+        (["shoes", "sup-demo", "--n", "16", "--trials", "1000000000000"], {}),
     ]
     for argv, code, out in _run_bounded(cases):
         assert (code, out) == (2, ""), argv
@@ -481,20 +485,44 @@ def test_limit_tables_refuse_what_the_quadrature_refuses(capsys, kind, lo, hi,
 
 
 def test_limit_flag_conflicts_exit_2(capsys):
-    code, _, err = run(capsys, "limit", "--kind", "socks", "--argmax", "--a", "1.0")
-    assert code == 2 and "InputError" in err
-    code, _, err = run(capsys, "limit", "--kind", "shoes-grid", "--argmax")
-    assert code == 2 and "InputError" in err
-    code, _, err = run(capsys, "limit", "--kind", "shoes-grid", "--a", "1.0")
-    assert code == 2 and "InputError" in err
-    code, _, err = run(capsys, "limit", "--kind", "shoes-diag", "--c", "1.0")
-    assert code == 2 and "InputError" in err
-    # --argmax ignores no point: it refuses one
-    code, _, err = run(capsys, "limit", "--kind", "socks", "--argmax", "--c", "1.0")
-    assert code == 2 and "InputError" in err
-    code, _, err = run(capsys, "limit", "--kind", "shoes-diag", "--argmax",
-                       "--a", "1.0")
-    assert code == 2 and "InputError" in err
+    # one rule for every kind: a flag it does not take, a partial point,
+    # --argmax where it has none or next to a point
+    cases = [[kind, f"--{name}", "1.0"]
+             for kind, names in (("socks", "ab"), ("shoes-diag", "cb"),
+                                 ("shoes-grid", "c"))
+             for name in names]
+    cases += [["shoes-grid", "--a", "1.0"], ["shoes-grid", "--b", "1.0"],
+              ["shoes-grid", "--argmax"],
+              ["shoes-grid", "--argmax", "--a", "1.0", "--b", "1.0"],
+              ["socks", "--argmax", "--c", "1.0"],
+              ["shoes-diag", "--argmax", "--a", "1.0"]]
+    for argv in cases:
+        code, out, err = run(capsys, "limit", "--kind", *argv)
+        assert (code, out) == (2, "") and err.startswith("InputError: "), argv
+
+
+def test_limit_tolerance_floor(capsys):
+    # one floor on every mode; the closed forms take no tolerance, so
+    # past the floor their results do not move
+    closed = [["socks", "--points", "4"], ["shoes-diag", "--points", "4"],
+              ["shoes-grid", "--points", "3"], ["socks", "--argmax"],
+              ["shoes-diag", "--argmax"]]
+    points = [["socks", "--c", "1.0"], ["shoes-diag", "--a", "1.0"],
+              ["shoes-grid", "--a", "0.5", "--b", "2.0"]]
+    for argv in points + closed:
+        for tol in ("1e-15", "nan"):
+            code, out, err = run(capsys, "limit", "--kind", *argv,
+                                 f"--tol={tol}")
+            assert (code, out) == (2, ""), (argv, tol)
+            assert err.startswith("DomainError: "), (argv, tol)
+    for argv in closed:
+        results = []
+        for tol in ("1e-13", "1e-6"):
+            code, out, _ = run(capsys, "limit", "--kind", *argv,
+                               f"--tol={tol}", "--format", "json")
+            assert code == 0, (argv, tol)
+            results.append(json.loads(out)["results"])
+        assert results[0] == results[1], argv
 
 
 def test_search_output_and_thread_invariance(capsys):

@@ -160,13 +160,16 @@ def test_simulation_determinism_and_thread_invariance():
 
 
 def test_discrepancy_simulation_path():
-    est = shoes_discrepancy(DIAG_TRIPLE, exact_if_small=False,
-                            trials=400_000, seed=RngSeed(3))
+    report = shoes_m2_simulate(DIAG_TRIPLE, 400_000, RngSeed(3))
+    value = tvd(shoes_m1(DIAG_TRIPLE), report)
+    error = 0.5 * math.sqrt(math.fsum(s * s for s in report.std_errors))
     exact = shoes_discrepancy(DIAG_TRIPLE)
-    assert est.error > 0.0
-    assert abs(est.value - exact.value) < 4.0 * est.error + 1e-4
-    with pytest.raises(DomainError):
-        shoes_discrepancy(DIAG_TRIPLE, exact_if_small=False)  # no seed
+    assert error > 0.0 and exact.error == 0.0
+    assert abs(value - exact.value) < 4.0 * error + 1e-4
+    # eleven colors pass the exact cap, and the simulation needs a seed
+    eleven = validate([1.0 / 11] * 11)
+    with pytest.raises(DomainError, match="seed"):
+        shoes_discrepancy(ShoePair(eleven, eleven))
 
 
 def test_side_swap_moves_m2_by_at_most_the_side_gap():
