@@ -38,22 +38,33 @@ def effective_threads(threads: int | None) -> int:
 SIM_CHUNK = 1 << 16
 
 
-#: Most rows of one plan: search points or simulated walks, 1,000 times
+#: Bytes of one block's working matrix, the target of the block plan.
+BLOCK_BYTES = 1 << 26
+
+#: Most blocks of one plan: 10^9 rows in full SIM_CHUNK blocks, 1,000 times
 #: the CLI's default --trials.  On 2 cores (numpy 2.4) it bounds an m = 3
 #: search near 2.5 min (0.15 s per 10^6 points) and three-color socks walks
-#: near 1 min; a witness-family walk at 10^4 colors costs 8 to 20 us, so
-#: there it bounds about 2 to 6 h.
-MAX_ROWS = 10 ** 9
+#: near 1 min; blocks of wide rows are shorter, so the cap bounds their rows
+#: lower: a witness-family walk at 10^4 colors (3,355 a block) costs 8 to
+#: 21 us, and there it bounds about 5.1 * 10^7 walks, 7 to 18 min.
+MAX_BLOCKS = -(-10 ** 9 // SIM_CHUNK)
 
 
 def _blocks(total: int, row_bytes: int) -> list[tuple[int, int]]:
     """(block index, row count) pairs covering total rows in equal blocks,
-    the last one short, refused before any planning past MAX_ROWS.  Blocks
-    shrink below SIM_CHUNK rows only to keep a block's row_bytes-wide
-    working matrix near 64 MB; the plan depends on nothing else."""
-    if total > MAX_ROWS:
-        raise DomainError(f"{total} rows pass the {MAX_ROWS}-row cap")
-    chunk = min(SIM_CHUNK, max(64, (1 << 26) // row_bytes))
+    the last one short.  Blocks shrink below SIM_CHUNK rows only to keep a
+    block's row_bytes-wide working matrix within BLOCK_BYTES, down to one
+    row; the plan depends on nothing else.  A row wider than BLOCK_BYTES,
+    or a plan of more than MAX_BLOCKS blocks, is refused before anything is
+    planned or allocated."""
+    if row_bytes > BLOCK_BYTES:
+        raise DomainError(f"a row of {row_bytes} bytes is wider than the "
+                          f"{BLOCK_BYTES}-byte block")
+    chunk = min(SIM_CHUNK, BLOCK_BYTES // row_bytes)
+    count = -(-total // chunk)
+    if count > MAX_BLOCKS:
+        raise DomainError(f"{total} rows make {count} blocks of {chunk}, past "
+                          f"the {MAX_BLOCKS}-block cap")
     return [(block, min(chunk, total - start))
             for block, start in enumerate(range(0, total, chunk))]
 

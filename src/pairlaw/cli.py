@@ -283,7 +283,7 @@ def cmd_shoes_derive(args: argparse.Namespace) -> OutputEnvelope:
         params["trials"] = args.trials
         seed = args.seed
         report = shoes_m2_simulate(sp, args.trials, RngSeed(args.seed),
-                                   args.max_steps, threads=args.threads)
+                                   threads=args.threads)
         rows += [["m2", i, v, s] for i, (v, s) in
                  enumerate(zip(report.estimated_probs, report.std_errors))]
         distance = tvd(m1_law, report)
@@ -370,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="require the exact solve (fails above its size cap)")
     q.add_argument("--trials", type=int, default=1_000_000)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--max-steps", type=int, default=None)
     _add_threads(q)
     _add_format(q)
     q.set_defaults(handler=cmd_shoes_derive)

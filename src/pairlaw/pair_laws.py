@@ -9,7 +9,8 @@ second as a Poisson integral, by Gauss quadrature), their total variation
 distance, expected draw-count statistics, and two independent verification
 routes: an exhaustive absorption solve over sets of seen colors, and
 seeded Monte Carlo.  Each route is one kernel for one sequence and for the
-shoes module's two: _chain_law sweeps the walk that _walk_chunk samples.
+shoes module's two: _chain_law sweeps the walk that _walk_chunk samples,
+and _simulate drives it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 
 from ._parallel import _blocks, map_ordered
 from .dist_core import Distribution, _alias_draw, _alias_tables
-from .errors import (DomainError, IndexMismatch, InternalFault,
-                     ToleranceNotMet, TooManyColors)
+from .errors import (DomainError, ExcessTruncation, IndexMismatch,
+                     InternalFault, ToleranceNotMet, TooManyColors)
 
 M1 = "m1"
 M2 = "m2"
@@ -337,21 +338,35 @@ def _walk_chunk(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
     return counts, int(rows.size)
 
 
-def _walks(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
-           trials: int, seed, max_steps: int,
-           threads: int | None) -> tuple[np.ndarray, int]:
-    """Absorption counts and truncation count of `trials` walks.
+#: A truncated fraction at or above this fails the run rather than biasing
+#: the estimate quietly.
+TRUNCATION_FRACTION = 1e-6
+
+
+def _simulate(sides: Sequence[Sequence[float]], trials: int, seed,
+              horizon: int, threads: int | None) -> SimReport:
+    """Monte Carlo of the walk that _walk_chunk samples, with one
+    probability sequence per side: `trials` walks of at most `horizon`
+    steps.
 
     Trials are split into the blocks of _blocks, one derived seed stream
-    per block, and the blocks are reduced in index order, so the outcome
-    is a pure function of (tables, trials, seed, max_steps) whatever the
-    thread count.  Either simulator plans its blocks for two flat
-    count * m seen arrays (2 * m bytes a walk), so socks and shoes share
-    one plan.
+    per block, and the blocks are reduced in index order, so the report is
+    a pure function of (sides, trials, seed, horizon) whatever the thread
+    count.  Either simulator plans its blocks for two flat count * m seen
+    arrays (2 * m bytes a walk), so socks and shoes share one plan.  Walks
+    that outlive the horizon are dropped from the tally and counted; a
+    truncated fraction reaching TRUNCATION_FRACTION raises
+    ExcessTruncation, since truncation preferentially discards
+    slow-absorbing colors.
     """
+    if trials < 1:
+        raise DomainError("trials must be at least 1")
+    tables = [_alias_tables(probs) for probs in sides]
+    m = len(sides[0])
+
     def run(block: int, count: int) -> tuple[np.ndarray, int]:
         return _walk_chunk(tables, m, seed.stream(block).generator(), count,
-                           max_steps)
+                           horizon)
 
     counts = np.zeros(m, dtype=np.int64)
     truncated = 0
@@ -359,33 +374,25 @@ def _walks(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
             run, _blocks(trials, 2 * m), threads):
         counts += chunk_counts
         truncated += chunk_trunc
-    return counts, truncated
-
-
-def m2_simulate(d: Distribution, trials: int, seed, *, threads: int | None = None) -> SimReport:
-    """Monte Carlo of the one-at-a-time procedure: one-side walks with
-    horizon m + 1, which every walk meets, since m + 1 objects force a
-    repeat.  The report is a pure function of (d, trials, seed)."""
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
-    m = len(d)
-    counts, truncated = _walks([_alias_tables(d.probs)], m, trials, seed,
-                               m + 1, threads)
-    return _report_from_counts(counts, seed.seed, truncated=truncated)
-
-
-def _report_from_counts(counts: np.ndarray, seed_value: int, truncated: int) -> SimReport:
+    if truncated >= TRUNCATION_FRACTION * trials:
+        raise ExcessTruncation(
+            f"{truncated} of {trials} walks ran past {horizon} steps")
     tallied = int(counts.sum())
-    if tallied == 0:
-        raise DomainError("no trial absorbed; nothing to estimate")
     freqs = counts / tallied
     # push the float summation residue into the largest entry so the
     # estimate is a bona fide probability vector, exactly
     j = int(np.argmax(freqs))
     freqs[j] += 1.0 - math.fsum(freqs)
     std = np.sqrt(freqs * (1.0 - freqs) / tallied)
-    return SimReport(tuple(freqs.tolist()), tallied, seed_value,
+    return SimReport(tuple(freqs.tolist()), tallied, seed.seed,
                      tuple(std.tolist()), truncated=truncated)
+
+
+def m2_simulate(d: Distribution, trials: int, seed, *, threads: int | None = None) -> SimReport:
+    """Monte Carlo of the one-at-a-time procedure: one-side walks with
+    horizon m + 1, which every walk meets, since m + 1 objects force a
+    repeat.  The report is a pure function of (d, trials, seed)."""
+    return _simulate([d.probs], trials, seed, len(d) + 1, threads)
 
 
 def _probs_of(law) -> Sequence[float]:

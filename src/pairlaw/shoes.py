@@ -8,7 +8,8 @@ the sequential law genuinely different from the single-sequence case even
 when p equals q, and lets the discrepancy between the two pair laws climb
 arbitrarily close to one along a suitable family of sources.  The exact
 law and the simulation are the two-side cases of pair_laws._chain_law and
-pair_laws._walk_chunk.
+pair_laws._simulate; the simulation sets its own step horizon from the
+pair, long enough that a walk outlives it with chance below 1e-12.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dist_core import Distribution, RngSeed, _alias_tables
+from .dist_core import Distribution, RngSeed
 from .errors import (DomainError, ExcessTruncation, IndexMismatch, InvalidPair,
                      NTooSmall, TooManyColors)
-from .pair_laws import M1, M2, PairLaw, SimReport, _chain_law, \
-    _report_from_counts, _walks, tvd
+from .pair_laws import M1, M2, PairLaw, SimReport, _chain_law, _simulate, tvd
 
 #: The exact solve sweeps all (left seen, right seen) set pairs: 3^m of
 #: them, each with a two-state turn cycle.
@@ -33,19 +33,10 @@ SHOES_EXACT_MAX_COLORS = 10
 HORIZON_SURVIVAL = 1e-12
 
 #: A horizon past this many steps (each at least one batched draw) cannot
-#: be run out, so it is refused before the first draw: a default one with
-#: ExcessTruncation, an explicit one with DomainError.
-#: witness_family(10^7) needs 2,629,386 steps.
+#: be run out, so it is refused with ExcessTruncation before the first
+#: draw.  witness_family(10^7) needs 2,629,386 steps; the cap is passed
+#: only when max_i min(p_i, q_i) is below about 5.7e-7.
 MAX_HORIZON = 10 ** 8
-
-#: A truncated fraction at or above this fails the run rather than biasing
-#: the estimate quietly.
-TRUNCATION_FRACTION = 1e-6
-
-#: A horizon whose absorption bound (_absorption_bound) is at or below
-#: this is refused with ExcessTruncation before the first draw: the run
-#: would pass with at most about this chance, whatever the trials.
-MIN_ABSORPTION_BOUND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,61 +100,24 @@ def _default_horizon(sp: ShoePair) -> int:
     return 2 * k + 2
 
 
-def _absorption_bound(sp: ShoePair, max_steps: int) -> float:
-    """An upper bound on the chance that one walk absorbs within max_steps.
-
-    A walk can absorb only once some color i has been drawn on both
-    sides.  Within T steps the left side draws ceil(T / 2) times and the
-    right side floor(T / 2) times, so by union bounds on each side,
-    independent of each other, and then over colors, the chance is at most
-    sum over i of min(1, k_L p_i) min(1, k_R q_i).
-    """
-    k_left, k_right = (max_steps + 1) // 2, max_steps // 2
-    return math.fsum(min(1.0, k_left * p) * min(1.0, k_right * q)
-                     for p, q in zip(sp.left.probs, sp.right.probs))
-
-
-def shoes_m2_simulate(sp: ShoePair, trials: int, seed: RngSeed,
-                      max_steps: int | None = None, *,
+def shoes_m2_simulate(sp: ShoePair, trials: int, seed: RngSeed, *,
                       threads: int | None = None) -> SimReport:
-    """Monte Carlo of the alternating procedure.
+    """Monte Carlo of the alternating procedure: two-side walks, left then
+    right, through the one-sequence simulator's driver (pair_laws._simulate:
+    walk kernel, seed-stream blocks, truncation check), so results depend
+    only on (pair, trials, seed).
 
-    Two-side walks, left then right, on the walk kernel and seed-stream
-    blocks of the one-sequence simulator, so results depend only on
-    (pair, trials, seed, max_steps).
-    Walks that outlive max_steps (default: the union-bound horizon, per-walk
-    survival below HORIZON_SURVIVAL; either kind refused past MAX_HORIZON)
-    are dropped from the tally and counted; a truncated fraction reaching
-    TRUNCATION_FRACTION raises ExcessTruncation, since truncation
-    preferentially discards slow-absorbing colors.  A max_steps under which
-    no walk can be expected to absorb (_absorption_bound at or below
-    MIN_ABSORPTION_BOUND) raises it before the first draw; the default
-    horizon always passes, as its bound is at least 1 - HORIZON_SURVIVAL.
+    The horizon is always _default_horizon, so a walk outlives it with
+    chance below HORIZON_SURVIVAL.  A pair whose horizon passes MAX_HORIZON
+    raises ExcessTruncation before the first draw, unless trials is below
+    one, which the driver refuses first, as for every simulation.
     """
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
-    if max_steps is None:
-        max_steps = _default_horizon(sp)
-        if max_steps > MAX_HORIZON:
-            raise ExcessTruncation(f"default horizon of {max_steps} steps "
-                                   f"is past the {MAX_HORIZON}-step cap")
-    elif max_steps > MAX_HORIZON:
-        raise DomainError(f"max_steps {max_steps} is past the "
-                          f"{MAX_HORIZON}-step cap")
-    if max_steps < 2:
-        raise DomainError("need at least two steps to complete a pair")
-    bound = _absorption_bound(sp, max_steps)
-    if bound <= MIN_ABSORPTION_BOUND:
-        raise ExcessTruncation(
-            f"a walk absorbs within {max_steps} steps with chance at most "
-            f"{bound!r}, at or below {MIN_ABSORPTION_BOUND}")
-    tables = [_alias_tables(sp.left.probs), _alias_tables(sp.right.probs)]
-    counts, truncated = _walks(tables, len(sp), trials, seed, max_steps,
-                               threads)
-    if truncated >= TRUNCATION_FRACTION * trials:
-        raise ExcessTruncation(
-            f"{truncated} of {trials} walks ran past {max_steps} steps")
-    return _report_from_counts(counts, seed.seed, truncated=truncated)
+    horizon = _default_horizon(sp)
+    if horizon > MAX_HORIZON and trials >= 1:
+        raise ExcessTruncation(f"default horizon of {horizon} steps "
+                               f"is past the {MAX_HORIZON}-step cap")
+    return _simulate([sp.left.probs, sp.right.probs], trials, seed, horizon,
+                     threads)
 
 
 @dataclass(frozen=True)
@@ -175,8 +129,7 @@ class ValueWithError:
 
 
 def shoes_discrepancy(sp: ShoePair, trials: int = 1_000_000,
-                      seed: RngSeed | None = None,
-                      max_steps: int | None = None, *,
+                      seed: RngSeed | None = None, *,
                       threads: int | None = None) -> ValueWithError:
     """Total variation distance between the two alternating pair laws.
 
@@ -191,7 +144,7 @@ def shoes_discrepancy(sp: ShoePair, trials: int = 1_000_000,
         return ValueWithError(tvd(m1, shoes_m2_exact(sp)), 0.0)
     if seed is None:
         raise DomainError("the simulation path needs a seed")
-    report = shoes_m2_simulate(sp, trials, seed, max_steps, threads=threads)
+    report = shoes_m2_simulate(sp, trials, seed, threads=threads)
     spread = math.fsum(s * s for s in report.std_errors)
     return ValueWithError(tvd(m1, report), 0.5 * math.sqrt(spread))
 

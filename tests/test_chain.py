@@ -132,7 +132,7 @@ def test_oracles_share_no_code_with_what_they_check(monkeypatch):
         raise AssertionError("the exact chain ran a checked kernel")
 
     for name in ("_poisson_sums", "_m2_rows", "derive_m2", "_walk_chunk",
-                 "_walks"):
+                 "_simulate"):
         monkeypatch.setattr(pair_laws, name, forbidden)
     d = validate([0.5, 0.3, 0.2])
     assert max(abs(a - b) for a, b in zip(m2_oracle_exact(d).probs,

@@ -13,6 +13,7 @@ import pairlaw
 import pairlaw.cli as cli
 import pairlaw.limit_laws as limit_laws
 import pairlaw.pair_laws as pair_laws
+import pairlaw.shoes as shoes
 from pairlaw import (ToleranceNotMet, UnimodalityError, convergence_check, ell,
                      ell_shoes, ell_shoes_value)
 from pairlaw.limit_laws import _ell_closed
@@ -146,15 +147,20 @@ def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
         # 10^10 and 10^5 evaluations, past LIMIT_MAX_EVALUATIONS
         (["limit", "--kind", "shoes-grid", "--points", "100000"], {}),
         (["limit", "--kind", "socks", "--points", "100000"], {}),
-        # an explicit horizon past the step cap on a pair whose walks
-        # almost never absorb
+        # no trials on a pair past the horizon cap: the trials come first
         (["shoes", "derive", "--left", "1e-300,1" + ",0" * 9,
-          "--right", "1,0" + ",0" * 9, "--trials", "100",
-          "--max-steps", "1000000000000"], {}),
-        # 10^12 search points and walks, past the row cap: refused before
-        # the block plan is built
+          "--right", "1,0" + ",0" * 9, "--trials", "0"], {}),
+        # 10^12 search points and walks, and 10^9 witness walks at 3,355 a
+        # block, past the block cap: refused before the plan is built
         (["search", "--m", "3", "--points", "1000000000000"], {}),
         (["shoes", "sup-demo", "--n", "16", "--trials", "1000000000000"], {}),
+        (["shoes", "sup-demo", "--n", "10000", "--trials", "1000000000"], {}),
+        # a 1.6 GB row, wider than one block
+        (["search", "--m", "200000000", "--points", "1"], {}),
+        # past the family maximizer's cap: a scan still running after 20 s,
+        # and a false competing mode
+        (["family", "--n", "10000000000000000"], {}),
+        (["family", "--n", "100000000000000000000"], {}),
     ]
     for argv, code, out in _run_bounded(cases):
         assert (code, out) == (2, ""), argv
@@ -162,13 +168,11 @@ def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
 
 def test_infeasible_simulation_exits_4_in_bounded_time():
     # eleven colors take the simulated path, whose default horizon for a
-    # shared color of left mass 1e-300 is about 5.7e301 steps; within the
-    # 10^8-step cap, a walk absorbs with chance at most 5e-293
+    # shared color of left mass 1e-300 is about 5.7e301 steps
     zeros = ",0" * 9
     pair = ["shoes", "derive", "--left", "1e-300,1" + zeros,
             "--right", "1,0" + zeros, "--trials", "100"]
-    cases = [(pair, {}), (pair + ["--max-steps", "100000000"], {})]
-    for argv, code, out in _run_bounded(cases):
+    for argv, code, out in _run_bounded([(pair, {})]):
         assert (code, out) == (4, ""), argv
 
 
@@ -216,19 +220,17 @@ def _fuzz_argvs(seed: int, count: int) -> list[list[str]]:
             return ["sup-demo", "--n", pick("16", "10", "16,20", "0"),
                     "--trials", pick(0, 1, 300), "--seed", pick(0, 7)]
         m = int(pick(1, 2, 3, 4, 11))
-        argv = ["derive", "--left=" + dist(m), "--right=" + dist(m),
+        return ["derive", "--left=" + dist(m), "--right=" + dist(m),
                 "--trials", pick(0, 1, 300), "--seed", pick(0, 7)]
-        if g.random() < 0.3:
-            argv += ["--max-steps=" + pick(-1, 1, 2, 100, 100000000)]
-        return argv
 
     makers = {
         "derive": lambda: ["--dist=" + dist(int(pick(1, 2, 5, 12)))],
-        "family": lambda: ["--n=" + pick(-1, 0, 1, 2, 30), "--action",
-                           pick("max", "curve"), "--samples", pick(0, 1, 2, 9)],
+        "family": lambda: ["--n=" + pick(-1, 0, 1, 2, 30, 10**16, 10**20),
+                           "--action", pick("max", "curve"),
+                           "--samples", pick(0, 1, 2, 9)],
         "limit": limit,
-        "search": lambda: ["--m=" + pick(0, 1, 2, 3, 5), "--points",
-                           pick(0, 1, 50), "--seed", pick(0, 7)],
+        "search": lambda: ["--m=" + pick(0, 1, 2, 3, 5, 200000000),
+                           "--points", pick(0, 1, 50), "--seed", pick(0, 7)],
         "shoes": shoes,
     }
     names = sorted(makers)  # in turn, so each gets count / 5 argvs
@@ -601,11 +603,11 @@ def test_shoes_derive_exact_flag_beats_the_size_cutoff(capsys):
     assert code == 2 and "TooManyColors" in err
 
 
-def test_shoes_derive_truncation_exits_4(capsys):
+def test_shoes_derive_truncation_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(shoes, "_default_horizon", lambda sp: 2)
     left = ",".join(["0.0909090909090909"] * 10 + ["0.090909090909091"])
     code, _, err = run(capsys, "shoes", "derive", "--left", left,
-                       "--right", left, "--trials", "10000",
-                       "--max-steps", "2")
+                       "--right", left, "--trials", "10000")
     assert code == 4 and "ExcessTruncation" in err
 
 

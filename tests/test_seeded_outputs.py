@@ -9,6 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import pairlaw.shoes as shoes
 from pairlaw import (ExcessTruncation, RngSeed, ShoePair, m2_simulate,
                      shoes_m2_simulate, validate, witness_family)
 
@@ -71,10 +72,11 @@ def test_shoes_runs_on_two_threads():
     assert (r.trials, r.truncated) == (150_000, 0)
 
 
-def test_shoes_truncation_count_at_a_short_horizon():
+def test_shoes_truncation_count_at_a_short_horizon(monkeypatch):
+    monkeypatch.setattr(shoes, "_default_horizon", lambda sp: 3)
     with pytest.raises(ExcessTruncation,
                        match="^6229 of 10000 walks ran past 3 steps$"):
-        shoes_m2_simulate(ASYM, 10_000, RngSeed(16), 3)
+        shoes_m2_simulate(ASYM, 10_000, RngSeed(16))
 
 
 def test_witness_family_run():
@@ -120,8 +122,9 @@ def test_witness_family_run_on_shrunk_blocks():
     assert (r.trials, r.truncated) == (7_000, 0)
 
 
-def test_witness_family_truncation_on_shrunk_blocks():
+def test_witness_family_truncation_on_shrunk_blocks(monkeypatch):
+    monkeypatch.setattr(shoes, "_default_horizon", lambda sp: 300)
     with pytest.raises(ExcessTruncation,
                        match="^635 of 7000 walks ran past 300 steps$"):
-        shoes_m2_simulate(witness_family(10**4), 7_000, RngSeed(21), 300,
+        shoes_m2_simulate(witness_family(10**4), 7_000, RngSeed(21),
                           threads=1)

@@ -126,12 +126,11 @@ def test_heavy_colors_on_opposite_sides_still_absorb():
         assert abs(est - ex) < 4.5 * std
 
 
-def test_excess_truncation_is_raised():
+def test_excess_truncation_is_raised(monkeypatch):
     # two steps almost never complete a pair on this source
+    monkeypatch.setattr(shoes, "_default_horizon", lambda sp: 2)
     with pytest.raises(ExcessTruncation):
-        shoes_m2_simulate(DIAG_TRIPLE, 10_000, RngSeed(1), 2)
-    with pytest.raises(DomainError):
-        shoes_m2_simulate(DIAG_TRIPLE, 10_000, RngSeed(1), 1)
+        shoes_m2_simulate(DIAG_TRIPLE, 10_000, RngSeed(1))
 
 
 def test_infeasible_default_horizon_is_refused_before_any_draw(monkeypatch):
@@ -140,7 +139,7 @@ def test_infeasible_default_horizon_is_refused_before_any_draw(monkeypatch):
     def no_walks(*args):
         raise AssertionError("walks started")
 
-    monkeypatch.setattr(shoes, "_walks", no_walks)
+    monkeypatch.setattr(shoes, "_simulate", no_walks)
     sp = ShoePair(validate([1e-300, 1.0]), validate([1.0, 0.0]))
     with pytest.raises(ExcessTruncation):
         shoes_m2_simulate(sp, 100, RngSeed(1))
