@@ -112,14 +112,16 @@ def _sorted_simplex_rows(m: int, count: int, g: np.random.Generator) -> np.ndarr
 def _alias_tables(probs: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
     """Alias-method tables (acceptance threshold, alias index) for a
     probability vector.  Small and large entries are paired two-stack
-    style; the tables depend only on the vector, never on any seed."""
+    style, with the scaled entries as Python floats, which take the same
+    IEEE steps as numpy scalars at a fraction of the cost; the tables
+    depend only on the vector, never on any seed."""
     p = np.asarray(tuple(probs), dtype=float)
     m = p.size
-    scaled = p * m
+    scaled = (p * m).tolist()
     accept = np.ones(m)
     alias = np.arange(m, dtype=np.int64)
-    small = [i for i in range(m) if scaled[i] < 1.0]
-    large = [i for i in range(m) if scaled[i] >= 1.0]
+    small = [i for i, v in enumerate(scaled) if v < 1.0]
+    large = [i for i, v in enumerate(scaled) if v >= 1.0]
     while small and large:
         s = small.pop()
         l = large.pop()
@@ -131,23 +133,42 @@ def _alias_tables(probs: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
     return accept, alias
 
 
+def _alias_select(accept: np.ndarray,
+                  alias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The select tables of _alias_draw: m thresholds and 2m picks.
+
+    u - i is exact for u = m * uniform and i = floor(u), so the fraction
+    test u - i < accept[i] is u < i + accept[i] over the reals: for a
+    double u, u < threshold i, the least double at or above i + accept[i].
+    Picks 2i and 2i + 1 are alias[i] and i.
+    """
+    column = np.arange(accept.size)
+    near = column + accept
+    rounded_down = near - column < accept  # both sides exact
+    thresholds = np.where(rounded_down, np.nextafter(near, np.inf), near)
+    return thresholds, np.column_stack((alias, column)).ravel()
+
+
 def _alias_draw(accept: np.ndarray, alias: np.ndarray,
-                g: np.random.Generator, count: int) -> np.ndarray:
+                g: np.random.Generator, count: int,
+                select: tuple[np.ndarray, np.ndarray] | None = None,
+                u: np.ndarray | None = None) -> np.ndarray:
     """count color indices in one vectorized pass, one uniform per draw.
 
     Uniform u in [0, m) picks column idx = floor(u) and keeps it when the
-    fraction u - idx falls below accept[idx], else takes alias[idx].  The
-    select is arithmetic, alias + keep * (idx - alias), computed in place.
+    fraction u - idx falls below accept[idx], else takes alias[idx]: one
+    gather of the _alias_select thresholds at idx and one of its picks at
+    2 * idx + keep.  A caller drawing many times passes those tables, and
+    a float buffer of at least count entries to draw the uniforms into.
+    idx stays below m: m times the largest uniform, 1 - 2^-53, rounds
+    below m for every color count.
     """
-    m = accept.size
-    u = g.random(count)
-    u *= m
+    thresholds, picks = (_alias_select(accept, alias) if select is None
+                         else select)
+    u = g.random(count) if u is None else g.random(out=u[:count])
+    u *= accept.size
     idx = u.astype(np.int64)
-    np.minimum(idx, m - 1, out=idx)  # guard the u == m round-up corner
-    u -= idx  # now the fraction
-    keep = u < accept[idx]
-    out = alias[idx]
-    idx -= out
-    idx *= keep
-    out += idx
-    return out
+    keep = u < thresholds.take(idx)
+    idx <<= 1
+    idx += keep
+    return picks.take(idx)

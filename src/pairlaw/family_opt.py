@@ -22,7 +22,7 @@ from ._optim import maximize_scalar
 from ._parallel import _blocks, map_ordered
 from .dist_core import Distribution, RngSeed, _sorted_simplex_rows
 from .errors import DomainError, NoSignChange
-from .pair_laws import _discrepancy_rows, tvd
+from .pair_laws import _discrepancy_rows, _nodes_per_row, tvd
 
 #: Grid of the family maximizer's bracketing scan.
 ARGMAX_GRID = 2048
@@ -32,6 +32,13 @@ ARGMAX_GRID = 2048
 #: (numpy 2.4), n = 10^16 ran past 20 s, and at n = 10^20 the scan met a
 #: false competing mode.
 FAMILY_MAX_N = 10 ** 9
+
+#: Most cells (points x colors x Gauss nodes a point) of one search, the
+#: work of its _discrepancy_rows passes; _blocks bounds a search's memory,
+#: this its time.  On one thread of a 2-core box (numpy 2.4) a cell costs
+#: 5 ns at 256 colors, 29 ns at 10^5 and 76 ns at 3, where the per-point
+#: draw and sort dominate, so a search at the cap runs at most about 80 s.
+SEARCH_MAX_CELLS = 10 ** 9
 
 #: Curves are sampled up to, not at, the degenerate x = 1 edge.
 CURVE_EDGE = 1e-9
@@ -269,6 +276,10 @@ def simplex_search(m: int, points: int, seed: RngSeed, *,
         raise DomainError("search needs at least two colors")
     if points < 1:
         raise DomainError("points must be at least 1")
+    cells = points * m * _nodes_per_row(m)
+    if cells > SEARCH_MAX_CELLS:
+        raise DomainError(f"{points} points of {m} colors make {cells} "
+                          f"cells, past the {SEARCH_MAX_CELLS}-cell cap")
 
     def score(block: int, count: int) -> tuple[float, tuple[float, ...]]:
         rows = _sorted_simplex_rows(m, count, seed.stream(block).generator())

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from ._parallel import _blocks, map_ordered
-from .dist_core import Distribution, _alias_draw, _alias_tables
+from .dist_core import (Distribution, _alias_draw, _alias_select,
+                        _alias_tables)
 from .errors import (DomainError, ExcessTruncation, IndexMismatch,
                      InternalFault, ToleranceNotMet, TooManyColors)
 
@@ -145,6 +147,11 @@ def _panels() -> tuple[np.ndarray, np.ndarray]:
             np.tile(w / 80.0, 40))
 
 
+def _nodes_per_row(m: int) -> int:
+    """Gauss nodes _poisson_sums spends on a row of m colors."""
+    return m // 2 + 1 if m <= LAGUERRE_MAX_COLORS else _panels()[0].size
+
+
 def _poisson_sums(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both one-at-a-time sums of each row: with the draws embedded in a
     rate-1 Poisson process and F(t) = prod_j (1 + p_j t),
@@ -170,7 +177,7 @@ def _poisson_sums(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, rows = Q.shape
     exact = m <= LAGUERRE_MAX_COLORS
     if exact:
-        nodes, weights = (v[:, None] for v in _laguerre(m // 2 + 1))
+        nodes, weights = (v[:, None] for v in _laguerre(_nodes_per_row(m)))
     else:  # row sums run along contiguous rows, as in a one-row block
         P = np.ascontiguousarray(P)
         unit, unit_weights = _panels()
@@ -304,8 +311,8 @@ def m2_oracle_exact(d: Distribution) -> PairLaw:
 
 
 def _walk_chunk(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
-                g: np.random.Generator, count: int,
-                max_steps: int) -> tuple[np.ndarray, int]:
+                g: np.random.Generator, count: int, max_steps: int,
+                selects: Sequence | None = None) -> tuple[np.ndarray, int]:
     """Absorption counts and truncation count for one chunk of walks.
 
     Step s draws from side s % len(tables) with that side's alias tables;
@@ -319,28 +326,47 @@ def _walk_chunk(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
     row offsets, so a lookup or a mark is one 1-D gather or scatter at
     rows + color.  Every drawn walk is marked before the absorbed ones are
     dropped: a dropped walk's row is never read again, so only the offsets
-    are compacted.
+    are compacted, through index lists (nonzero, then take).  Absorbed
+    walks leave their last offset in one buffer, tallied by color at the
+    end, and the uniforms of every step are drawn into another.  A caller
+    running many chunks passes each side's _alias_select tables, built
+    once.
     """
+    if selects is None:
+        selects = [_alias_select(*t) for t in tables]
     seen = [np.zeros(count * m, dtype=bool) for _ in tables]
+    u = np.empty(count)
     rows = np.arange(0, count * m, m)
-    counts = np.zeros(m, dtype=np.int64)
+    absorbed = np.empty(count, dtype=np.int64)
     for step in range(max_steps):
         if rows.size == 0:
             break
         side = step % len(tables)
-        c = _alias_draw(*tables[side], g, rows.size)
-        at = rows + c
-        hit = seen[side - 1][at]
+        at = _alias_draw(*tables[side], g, rows.size, selects[side], u)
+        at += rows
+        hit = seen[side - 1].take(at)
         seen[side][at] = True
-        if hit.any():
-            counts += np.bincount(c[hit], minlength=m)
-            rows = rows[~hit]
-    return counts, int(rows.size)
+        done = hit.nonzero()[0]
+        if done.size:
+            gone = count - rows.size
+            # indices in range: "wrap" spares the copy "raise" makes for out
+            at.take(done, out=absorbed[gone:gone + done.size], mode="wrap")
+            rows = rows.take(np.logical_not(hit, out=hit).nonzero()[0])
+    tally = absorbed[:count - rows.size]
+    tally %= m
+    return np.bincount(tally, minlength=m), int(rows.size)
 
 
 #: A truncated fraction at or above this fails the run rather than biasing
 #: the estimate quietly.
 TRUNCATION_FRACTION = 1e-6
+
+
+def _walk_plan(trials: int, m: int) -> list[tuple[int, int]]:
+    """The blocks of a simulation of `trials` walks on m colors.  Either
+    simulator plans them for two flat count * m seen arrays (2 * m bytes a
+    walk), so socks and shoes share one plan."""
+    return _blocks(trials, 2 * m)
 
 
 def _simulate(sides: Sequence[Sequence[float]], trials: int, seed,
@@ -349,31 +375,33 @@ def _simulate(sides: Sequence[Sequence[float]], trials: int, seed,
     probability sequence per side: `trials` walks of at most `horizon`
     steps.
 
-    Trials are split into the blocks of _blocks, one derived seed stream
-    per block, and the blocks are reduced in index order, so the report is
-    a pure function of (sides, trials, seed, horizon) whatever the thread
-    count.  Either simulator plans its blocks for two flat count * m seen
-    arrays (2 * m bytes a walk), so socks and shoes share one plan.  Walks
-    that outlive the horizon are dropped from the tally and counted; a
-    truncated fraction reaching TRUNCATION_FRACTION raises
-    ExcessTruncation, since truncation preferentially discards
-    slow-absorbing colors.
+    Trials are split into the blocks of _walk_plan, one derived seed
+    stream per block.  Each block's counts are folded into one total as
+    the block finishes; they are integer sums, so the report is a pure
+    function of (sides, trials, seed, horizon) whatever the thread count
+    or the order the blocks finish in, and only the blocks in flight hold
+    counts of their own.  Walks that outlive the horizon are dropped from
+    the tally and counted; a truncated fraction reaching
+    TRUNCATION_FRACTION raises ExcessTruncation, since truncation
+    preferentially discards slow-absorbing colors.
     """
     if trials < 1:
         raise DomainError("trials must be at least 1")
     tables = [_alias_tables(probs) for probs in sides]
+    selects = [_alias_select(*t) for t in tables]
     m = len(sides[0])
-
-    def run(block: int, count: int) -> tuple[np.ndarray, int]:
-        return _walk_chunk(tables, m, seed.stream(block).generator(), count,
-                           horizon)
-
     counts = np.zeros(m, dtype=np.int64)
-    truncated = 0
-    for chunk_counts, chunk_trunc in map_ordered(
-            run, _blocks(trials, 2 * m), threads):
-        counts += chunk_counts
-        truncated += chunk_trunc
+    fold = threading.Lock()
+
+    def run(block: int, count: int) -> int:
+        block_counts, truncated = _walk_chunk(
+            tables, m, seed.stream(block).generator(), count, horizon,
+            selects)
+        with fold:
+            np.add(counts, block_counts, out=counts)
+        return truncated
+
+    truncated = sum(map_ordered(run, _walk_plan(trials, m), threads))
     if truncated >= TRUNCATION_FRACTION * trials:
         raise ExcessTruncation(
             f"{truncated} of {trials} walks ran past {horizon} steps")

@@ -21,7 +21,8 @@ from typing import Sequence
 from .dist_core import Distribution, RngSeed
 from .errors import (DomainError, ExcessTruncation, IndexMismatch, InvalidPair,
                      NTooSmall, TooManyColors)
-from .pair_laws import M1, M2, PairLaw, SimReport, _chain_law, _simulate, tvd
+from .pair_laws import (M1, M2, PairLaw, SimReport, _chain_law, _simulate,
+                        _walk_plan, tvd)
 
 #: The exact solve sweeps all (left seen, right seen) set pairs: 3^m of
 #: them, each with a two-state turn cycle.
@@ -100,6 +101,17 @@ def _default_horizon(sp: ShoePair) -> int:
     return 2 * k + 2
 
 
+def _walk_horizon(sp: ShoePair, trials: int) -> int:
+    """The step horizon of sp's walks, _default_horizon.  A horizon past
+    MAX_HORIZON raises ExcessTruncation, unless trials is below one, which
+    _simulate refuses first, as for every simulation."""
+    horizon = _default_horizon(sp)
+    if horizon > MAX_HORIZON and trials >= 1:
+        raise ExcessTruncation(f"default horizon of {horizon} steps "
+                               f"is past the {MAX_HORIZON}-step cap")
+    return horizon
+
+
 def shoes_m2_simulate(sp: ShoePair, trials: int, seed: RngSeed, *,
                       threads: int | None = None) -> SimReport:
     """Monte Carlo of the alternating procedure: two-side walks, left then
@@ -107,17 +119,12 @@ def shoes_m2_simulate(sp: ShoePair, trials: int, seed: RngSeed, *,
     walk kernel, seed-stream blocks, truncation check), so results depend
     only on (pair, trials, seed).
 
-    The horizon is always _default_horizon, so a walk outlives it with
-    chance below HORIZON_SURVIVAL.  A pair whose horizon passes MAX_HORIZON
-    raises ExcessTruncation before the first draw, unless trials is below
-    one, which the driver refuses first, as for every simulation.
+    The horizon is always _walk_horizon's, so a walk outlives it with
+    chance below HORIZON_SURVIVAL, and a pair past the horizon cap is
+    refused before the first draw.
     """
-    horizon = _default_horizon(sp)
-    if horizon > MAX_HORIZON and trials >= 1:
-        raise ExcessTruncation(f"default horizon of {horizon} steps "
-                               f"is past the {MAX_HORIZON}-step cap")
-    return _simulate([sp.left.probs, sp.right.probs], trials, seed, horizon,
-                     threads)
+    return _simulate([sp.left.probs, sp.right.probs], trials, seed,
+                     _walk_horizon(sp, trials), threads)
 
 
 @dataclass(frozen=True)
@@ -182,10 +189,16 @@ def sup_one_demo(n_list: Sequence[int], trials: int, seed: RngSeed, *,
 
     Each size gets its own derived seed stream; values climb toward one as
     n grows, exhibiting the supremum (never attained at any finite size).
+    Every size's pair, horizon cap and block plan are checked before the
+    first walk, so a ladder that cannot run is refused at once.
     """
+    pairs = [witness_family(int(n)) for n in n_list]
+    for sp in pairs:
+        _walk_horizon(sp, trials)
+        _walk_plan(trials, len(sp))
     rows = []
-    for j, n in enumerate(n_list):
-        est = shoes_discrepancy(witness_family(int(n)), trials=trials,
-                                seed=seed.stream(j), threads=threads)
+    for j, (n, sp) in enumerate(zip(n_list, pairs)):
+        est = shoes_discrepancy(sp, trials=trials, seed=seed.stream(j),
+                                threads=threads)
         rows.append(TrendRow(int(n), est.value, est.error))
     return rows

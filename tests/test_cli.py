@@ -155,6 +155,13 @@ def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
         (["search", "--m", "3", "--points", "1000000000000"], {}),
         (["shoes", "sup-demo", "--n", "16", "--trials", "1000000000000"], {}),
         (["shoes", "sup-demo", "--n", "10000", "--trials", "1000000000"], {}),
+        # a ladder whose second size passes the block cap (17,884 blocks):
+        # refused before the 6 * 10^7 walks of its first size
+        (["shoes", "sup-demo", "--n", "16,10000", "--trials", "60000000"],
+         {}),
+        # 8 points of 10^6 colors at 640 nodes, 5.1 * 10^9 cells, past the
+        # search cap: one block, which ran 94 s
+        (["search", "--m", "1000000", "--points", "8"], {}),
         # a 1.6 GB row, wider than one block
         (["search", "--m", "200000000", "--points", "1"], {}),
         # past the family maximizer's cap: a scan still running after 20 s,

@@ -13,7 +13,8 @@ import pytest
 
 from pairlaw import (BadSum, DomainError, Empty, NegativeEntry, RngSeed,
                      derive_m2, draw_stats, validate)
-from pairlaw.dist_core import _alias_draw, _alias_tables, _sorted_simplex_rows
+from pairlaw.dist_core import (_alias_draw, _alias_select, _alias_tables,
+                               _sorted_simplex_rows)
 
 
 def test_validate_accepts_the_basic_examples():
@@ -217,6 +218,13 @@ def test_sampler_reproducible_and_iterable():
     g = RngSeed(8).generator()
     pieces = [_alias_draw(accept, alias, g, n) for n in (1, 199, 300)]
     assert np.concatenate(pieces).tolist() == a.tolist()
+    # the walks' form: select tables built once, uniforms drawn into one
+    # reused buffer
+    g = RngSeed(8).generator()
+    select, u = _alias_select(accept, alias), np.empty(300)
+    pieces = [_alias_draw(accept, alias, g, n, select, u)
+              for n in (1, 199, 300)]
+    assert np.concatenate(pieces).tolist() == a.tolist()
 
 
 def test_sampler_never_draws_zero_probability_colors():
@@ -274,9 +282,11 @@ EDGE_SOURCES = [
 
 def test_alias_draw_edge_uniforms_match_the_branch_select():
     rng = np.random.default_rng(53)
-    p = rng.exponential(size=70)
-    p[rng.random(70) < 0.3] = 0.0
-    sources = EDGE_SOURCES + [list(p / p.sum())]
+    sources = list(EDGE_SOURCES)
+    for m in (70, 3001):  # wide columns: i + accept[i] rounds at large i
+        p = rng.exponential(size=m)
+        p[rng.random(m) < 0.3] = 0.0
+        sources.append(list(p / p.sum()))
     on_threshold = 0
     for probs in sources:
         accept, alias = _alias_tables(probs)
@@ -290,6 +300,62 @@ def test_alias_draw_edge_uniforms_match_the_branch_select():
         assert not np.isin(got, zero).any(), probs
         assert ((0 <= got) & (got < len(probs))).all()
     assert on_threshold >= 5  # a fraction equal to its threshold is kept out
+
+
+def test_alias_select_thresholds_split_each_column_like_the_fraction():
+    # for each column i, the doubles w in [i, i + 1) at and beside its
+    # threshold: w < threshold i exactly when the fraction w - i (exact)
+    # is below accept[i]
+    rng = np.random.default_rng(54)
+    for m in (1, 2, 3, 7, 70, 3001, 100_003):
+        p = rng.exponential(size=m) ** rng.uniform(0.5, 3.0)
+        p[rng.random(m) < 0.2] = 0.0
+        if not p.any():
+            p[0] = 1.0
+        accept, alias = _alias_tables((p / p.sum()).tolist())
+        thresholds, picks = _alias_select(accept, alias)
+        assert thresholds.size == m and picks.size == 2 * m
+        column = np.arange(m)
+        t = thresholds
+        for w in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)):
+            inside = (column <= w) & (w < column + 1)
+            assert ((w < t) == (w - column < accept))[inside].all(), m
+        assert picks[0::2].tolist() == alias.tolist()
+        assert picks[1::2].tolist() == column.tolist()
+
+
+def _scalar_alias_tables(probs):
+    """The two-stack loop on numpy scalars that the list-built tables
+    replaced, frozen as their oracle."""
+    p = np.asarray(tuple(probs), dtype=float)
+    m = p.size
+    scaled = p * m
+    accept = np.ones(m)
+    alias = np.arange(m, dtype=np.int64)
+    small = [i for i in range(m) if scaled[i] < 1.0]
+    large = [i for i in range(m) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        accept[s] = scaled[s]
+        alias[s] = l
+        scaled[l] = (scaled[l] + scaled[s]) - 1.0
+        (small if scaled[l] < 1.0 else large).append(l)
+    return accept, alias
+
+
+def test_alias_tables_match_the_numpy_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(55)
+    for case in range(300):
+        m = int(rng.integers(1, 401))
+        p = rng.exponential(size=m) ** rng.uniform(0.2, 4.0)
+        p[rng.random(m) < 0.3] = 0.0  # zero-mass colors
+        if not p.any():
+            p[rng.integers(m)] = 1.0
+        probs = (p / p.sum()).tolist()
+        got, want = _alias_tables(probs), _scalar_alias_tables(probs)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), case
 
 
 def test_alias_draw_threshold_goes_to_the_alias():

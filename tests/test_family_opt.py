@@ -12,8 +12,10 @@ from pairlaw import (THREE_COLOR_ARGMAX, THREE_COLOR_DOUBLED_MAX,
                      exact_two_color_extreme, family_argmax,
                      family_discrepancy, figure_family_curves, simplex_search,
                      solve_poly)
-from pairlaw.family_opt import (ARGMAX_GRID, CURVE_EDGE, FamilyCurveRow,
-                                OptResult, _family_rows, _family_slope)
+from pairlaw import family_opt
+from pairlaw.family_opt import (ARGMAX_GRID, CURVE_EDGE, SEARCH_MAX_CELLS,
+                                FamilyCurveRow, OptResult, _family_rows,
+                                _family_slope)
 
 # interior maximizers x_n and peak values D(x_n) for n = 1..9, to 20 digits
 X_N = (0.6966599465951643196, 0.5820110139097399105, 0.5160030571683498864,
@@ -218,6 +220,22 @@ def test_search_argument_validation():
         simplex_search(1, 100, RngSeed(0))
     with pytest.raises(DomainError):
         simplex_search(3, 0, RngSeed(0))
+
+
+def test_search_cell_cap_refuses_before_the_first_block(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a search block ran past the cell cap")
+
+    monkeypatch.setattr(family_opt, "_sorted_simplex_rows", forbidden)
+    # 8 points of 10^6 colors at 640 nodes: 5.12 * 10^9 cells
+    with pytest.raises(DomainError, match="cell cap"):
+        simplex_search(10 ** 6, 8, RngSeed(0))
+    # 3 colors take 2 nodes a point: the cap falls between these two
+    cells = SEARCH_MAX_CELLS // 6
+    with pytest.raises(DomainError, match="cell cap"):
+        simplex_search(3, cells + 1, RngSeed(0))
+    with pytest.raises(AssertionError, match="past the cell cap"):
+        simplex_search(3, cells, RngSeed(0), threads=1)
 
 
 def test_figure_family_curves_shape():

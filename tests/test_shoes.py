@@ -10,7 +10,7 @@ from pairlaw import (DomainError, ExcessTruncation, IndexMismatch,
                      shoes_discrepancy, shoes_m1, shoes_m2_exact,
                      shoes_m2_simulate, shoes_match_probability, sup_one_demo,
                      tvd, validate, witness_family)
-from pairlaw import shoes
+from pairlaw import pair_laws, shoes
 from pairlaw.shoes import MAX_HORIZON, _default_horizon
 
 DIAG_SKEW = ShoePair(validate([0.75, 0.25]), validate([0.75, 0.25]))
@@ -223,6 +223,18 @@ def test_sup_one_demo_trend():
     assert abs(values[0] - 0.322) < 0.02
     assert abs(values[1] - 0.431) < 0.02
     assert abs(values[2] - 0.529) < 0.02
+
+
+def test_sup_one_demo_refuses_a_ladder_before_its_first_walk(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a walk ran before the ladder was refused")
+
+    monkeypatch.setattr(pair_laws, "_walk_chunk", forbidden)
+    # n = 10^4 makes 17,884 blocks of 3,355 walks, past the block cap
+    with pytest.raises(DomainError, match="block cap"):
+        sup_one_demo([16, 10_000], 60_000_000, RngSeed(0))
+    with pytest.raises(NTooSmall):
+        sup_one_demo([16, 15], 100, RngSeed(0))
 
 
 def test_sup_one_demo_is_deterministic():

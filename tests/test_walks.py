@@ -1,26 +1,39 @@
-"""The walk kernel against a one-walk-at-a-time replay.
+"""The walk kernel against a one-walk-at-a-time replay, and _simulate's
+fold of block counts.
 
 _replay consumes the same generator the same way (one g.random(live) per
 step) but applies the alias rule per walk in Python floats, keeps Python
 sets per walk and side, and marks only the walks that survive a step.  It
 never calls _alias_draw, so it guards the kernel's flat seen-set offsets,
-its mark-before-drop order and its compaction independently.
+its mark-before-drop order and its compaction independently.  It also
+reports each step's live walks and hits, so the fuzz can show that it
+reached the compaction's sparse and dense paths on wide chunks.
+
+_simulate folds each block's counts into one total as the block
+finishes; two tests run it on many tiny blocks, for its memory and for
+its lock.
 """
+
+import sys
+import tracemalloc
 
 import numpy as np
 
-from pairlaw import RngSeed
+from pairlaw import RngSeed, m2_simulate, validate
+from pairlaw import _parallel
 from pairlaw.dist_core import _alias_tables
 from pairlaw.pair_laws import _walk_chunk
 
 
 def _replay(sides, g, count, max_steps):
-    """Absorption counts and truncation count of count walks, walk by walk."""
+    """Absorption counts and truncation count of count walks, walk by walk,
+    and the (live walks, hits) of each step."""
     m = len(sides[0])
     tables = [tuple(t.tolist() for t in _alias_tables(p)) for p in sides]
     seen = [[set() for _ in range(count)] for _ in sides]
     live = list(range(count))
     counts = [0] * m
+    steps = []
     for step in range(max_steps):
         if not live:
             break
@@ -36,8 +49,9 @@ def _replay(sides, g, count, max_steps):
             else:
                 seen[side][walk].add(color)
                 survivors.append(walk)
+        steps.append((len(live), len(live) - len(survivors)))
         live = survivors
-    return counts, len(live)
+    return counts, len(live), steps
 
 
 def _source(rng, m):
@@ -49,25 +63,79 @@ def _source(rng, m):
     return p / p.sum()
 
 
+def _peaked(rng, m):
+    """A source with one color of mass at least 0.99: repeats come at once."""
+    p = 0.01 * _source(rng, m)
+    p[rng.integers(m)] += 0.99
+    return p
+
+
 def test_walk_chunk_matches_the_replay_on_fuzz():
     rng = np.random.default_rng(20261018)
-    truncating = zero_mass = 0
-    for case in range(80):
-        m = int(rng.integers(1, 71))
-        sides = [_source(rng, m) for _ in range(int(rng.integers(1, 3)))]
-        count = int(rng.integers(1, 301))
+    truncating = zero_mass = sparse = dense = 0
+    for case in range(100):
+        if case < 80:
+            m = int(rng.integers(1, 71))
+            make, count = _source, int(rng.integers(1, 301))
+        else:  # wide chunks: hit densities near 1, then near 0
+            m = int(rng.integers(1, 6) if case < 90 else rng.integers(200, 401))
+            make = _peaked if case < 90 else (
+                lambda rng, m: rng.dirichlet(np.full(m, 50.0)))
+            count = int(rng.integers(1000, 3001))
+        sides = [make(rng, m) for _ in range(int(rng.integers(1, 3)))]
         # a repeat is certain within m + 1 draws of one side, and within
         # 2m + 2 alternating draws once the supports overlap
         max_steps = int(rng.integers(1, len(sides) * (m + 1) + 3))
         tables = [_alias_tables(p) for p in sides]
         got_counts, got_trunc = _walk_chunk(
             tables, m, RngSeed(case).generator(), count, max_steps)
-        want_counts, want_trunc = _replay(
+        want_counts, want_trunc, steps = _replay(
             sides, RngSeed(case).generator(), count, max_steps)
         assert got_counts.tolist() == want_counts, (case, m, len(sides))
         assert got_trunc == want_trunc, (case, m, len(sides))
         assert got_counts.sum() + got_trunc == count
         truncating += 0 < got_trunc < count
         zero_mass += any((p == 0).any() for p in sides)
-    # the fuzz reaches partial truncation and zero-mass colors
+        sparse += any(live >= 1000 and 0 < hits <= 0.05 * live
+                      for live, hits in steps)
+        dense += any(live >= 1000 and hits >= 0.95 * live
+                     for live, hits in steps)
+    # the fuzz reaches partial truncation, zero-mass colors, and steps of
+    # over 1,000 walks that drop at most 5% or at least 95% of them
     assert truncating >= 10 and zero_mass >= 40
+    assert sparse >= 5 and dense >= 5, (sparse, dense)
+
+
+#: 1,000 colors in blocks of 4 walks (2 * m bytes a walk): 2,000 walks
+#: make 500 blocks, whose counts would hold 500 * 1,000 * 8 = 4 MB if each
+#: block's were kept to the end.  One color holds 0.9 of the mass, so a
+#: walk absorbs within a few steps.
+WIDE = validate([0.9] + [0.1 / 999] * 999)
+TINY_BLOCK_BYTES = 4 * 2 * 1000
+
+
+def test_simulation_holds_no_count_vector_per_block(monkeypatch):
+    monkeypatch.setattr(_parallel, "BLOCK_BYTES", TINY_BLOCK_BYTES)
+    tracemalloc.start()
+    try:
+        r = m2_simulate(WIDE, 2000, RngSeed(5), threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (r.trials, r.truncated) == (2000, 0)
+    assert peak < 500 * 1000 * 8, peak
+
+
+def test_block_fold_loses_no_update_under_thread_contention(monkeypatch):
+    # 8 threads on 500 blocks, switching as often as the interpreter
+    # allows: an update lost in the fold would show as a report that
+    # differs from the one-thread run
+    monkeypatch.setattr(_parallel, "BLOCK_BYTES", TINY_BLOCK_BYTES)
+    one = m2_simulate(WIDE, 2000, RngSeed(6), threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = m2_simulate(WIDE, 2000, RngSeed(6), threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert many == one and many.trials == 2000
