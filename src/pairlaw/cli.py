@@ -187,9 +187,10 @@ def cmd_family(args: argparse.Namespace) -> OutputEnvelope:
 
 
 #: Most closed-form evaluations of one `limit` request: --points of them on
-#: a curve, --points squared on a shoes grid.  At up to about 0.1 ms a
-#: shoes-grid point (three Mills-ratio moments; 2 cores, numpy 2.4) the cap
-#: bounds a request near 1 s; the default 64-point grid runs 4,096.
+#: a curve, --points squared on a shoes grid.  At up to about 0.04 ms a
+#: shoes-grid point (three Mills-ratio moments, the most fraction terms just
+#: past a = b = sqrt 2; one thread of a 2-core box, numpy 2.4) the cap
+#: bounds a request near 0.4 s; the default 64-point grid runs 4,096.
 LIMIT_MAX_EVALUATIONS = 10 ** 4
 
 

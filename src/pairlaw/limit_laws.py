@@ -45,6 +45,12 @@ ARGMAX_GRID = 256
 #: underflows past x = 38.
 MILLS_SWITCH = 1.0
 
+#: The continued fraction's k as floats, from the most terms it takes (at
+#: MILLS_SWITCH) down to 1; a slice longer than the table would drop the
+#: largest k without a word, so the size follows MILLS_SWITCH.
+_MILLS_TERMS = tuple(map(float, range(
+    16 + int(512.0 / (MILLS_SWITCH * MILLS_SWITCH)), 0, -1)))
+
 #: Past this t the Gaussian damping of either integrand, e^{-t^2 / 2} or
 #: e^{-t^2}, is below 1e-300, so the quadrature's range stops here however
 #: small c, a or b make max(12, 12 / c); it also keeps t * t finite.
@@ -221,12 +227,16 @@ def _mills_moments(x: float) -> tuple[float, float, float, float]:
 
 
 def _mills_ratios(x: float) -> tuple[float, float, float]:
-    """rho_k = I_k / I_{k-1}, k = 1..3, from the continued fraction run
-    backward over 16 + 512 / x^2 terms; full precision from MILLS_SWITCH."""
-    r1 = r2 = r3 = 0.0
-    for k in range(16 + int(512.0 / (x * x)), 0, -1):
-        r1, r2, r3 = k / (x + r1), r1, r2
-    return r1, r2, r3
+    """rho_k = I_k / I_{k-1}, k = 1..3, for x >= MILLS_SWITCH, to full
+    precision: the continued fraction rho_k = k / (x + rho_{k+1}) run
+    backward from rho = 0 over 16 + 512 / x^2 terms, k taken from the
+    float table _MILLS_TERMS and the last three steps written out."""
+    r = 0.0
+    for k in _MILLS_TERMS[-16 - int(512.0 / (x * x)):-3]:
+        r = k / (x + r)
+    r3 = 3.0 / (x + r)
+    r2 = 2.0 / (x + r3)
+    return 1.0 / (x + r2), r2, r3
 
 
 def _ell_closed(c: float) -> float:
@@ -261,6 +271,14 @@ def _ell_shoes_closed(a: float, b: float) -> float:
     """
     return (_mills_moments(a * _SQRT_HALF)[1] + _mills_moments(b * _SQRT_HALF)[1]
             - _mills_moments((a + b) * _SQRT_HALF)[1] - 1.0 / (1.0 + a * b))
+
+
+def _ell_shoes_diag(a: float) -> float:
+    """_ell_shoes_closed(a, a), bit for bit, with I_1(a / sqrt 2) taken
+    once."""
+    i1 = _mills_moments(a * _SQRT_HALF)[1]
+    return (i1 + i1 - _mills_moments((a + a) * _SQRT_HALF)[1]
+            - 1.0 / (1.0 + a * a))
 
 
 def ell_value(c: float) -> float:
@@ -299,8 +317,7 @@ def ell_shoes_diag_argmax() -> OptResult:
     """Maximum of the alternating-pairs surface along its diagonal a = b:
     the root of its closed-form slope."""
     return OptResult(*maximize_scalar(
-        lambda a: _ell_shoes_closed(a, a),
-        lambda xs: [_ell_shoes_closed(a, a) for a in xs.tolist()],
+        _ell_shoes_diag, lambda xs: [_ell_shoes_diag(a) for a in xs.tolist()],
         _ell_shoes_diag_slope, 0.0, SEARCH_HI, ARGMAX_GRID))
 
 

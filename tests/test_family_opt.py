@@ -8,14 +8,15 @@ import pytest
 
 from pairlaw import (THREE_COLOR_ARGMAX, THREE_COLOR_DOUBLED_MAX,
                      TWO_COLOR_STATIONARY, DomainError, FamilyPoint,
-                     NoSignChange, PolySpec, RngSeed, discrepancy,
-                     exact_two_color_extreme, family_argmax,
+                     NoSignChange, PolySpec, RngSeed, convergence_check,
+                     discrepancy, exact_two_color_extreme, family_argmax,
                      family_discrepancy, figure_family_curves, simplex_search,
                      solve_poly)
 from pairlaw import family_opt
 from pairlaw.family_opt import (ARGMAX_GRID, CURVE_EDGE, SEARCH_MAX_CELLS,
                                 FamilyCurveRow, OptResult, _family_rows,
                                 _family_slope)
+from pairlaw.limit_laws import ell_value
 
 # interior maximizers x_n and peak values D(x_n) for n = 1..9, to 20 digits
 X_N = (0.6966599465951643196, 0.5820110139097399105, 0.5160030571683498864,
@@ -90,6 +91,67 @@ def test_closed_form_matches_general_derivation():
             x = float(rng.uniform(1.0 / (n + 1), 0.999))
             fp = FamilyPoint(n, x)
             assert abs(family_discrepancy(fp) - discrepancy(fp.realize())) < 1e-13
+
+
+def _scalar_family_series(n, x):
+    # family_discrepancy as a loop of one term a step, frozen here as the
+    # block sum's bit-for-bit reference
+    if x == 1.0 / (n + 1):
+        return 0.0
+    q = (1.0 - x) / n
+    f2 = x * x + (1.0 - x) * (1.0 - x) / n
+    t = 1.0
+    s = 1.0
+    for k in range(n):
+        r = (k + 2) * (n - k) * q / (k + 1)
+        t *= r
+        s += t
+        if r < 1.0 and t * r < 1e-16 * s * (1.0 - r):
+            break
+    return x * x / f2 - x * x * s
+
+
+def test_series_blocks_match_the_scalar_loop_bit_for_bit():
+    cases = []
+    for n in list(range(1, 41)) + [10 ** 3, 10 ** 6, 10 ** 9]:
+        lo = 1.0 / (n + 1)
+        # the uniform end, just above it (the longest series), the
+        # c / sqrt(n) scale, the interior and just below 1
+        xs = [lo, lo * (1.0 + 1e-9), 1.514 / math.sqrt(n), 0.01, 0.3, 0.5,
+              0.9, 1.0 - 1e-9, math.nextafter(1.0, 0.0)]
+        cases += [(n, x) for x in xs if lo <= x < 1.0]
+    # 10^12: the c / sqrt(n) point sums about 7 * 10^6 terms, through many
+    # full-width blocks
+    n = 10 ** 12
+    cases += [(n, 1.0 / (n + 1)), (n, 1.514e-6), (n, 1e-4), (n, 0.01),
+              (n, 0.5), (n, math.nextafter(1.0, 0.0))]
+    for n, x in cases:
+        got = family_discrepancy(FamilyPoint(n, x))
+        assert got.hex() == _scalar_family_series(n, x).hex(), (n, x)
+
+
+def test_convergence_rows_match_the_scalar_loop_bit_for_bit():
+    sizes = [10, 10 ** 2, 10 ** 4, 10 ** 6, 10 ** 9]
+    for c in (0.5, 1.514, 2.9):
+        limit = ell_value(c)
+        for row, n in zip(convergence_check(c, sizes), sizes):
+            want = _scalar_family_series(n, c / math.sqrt(n))
+            assert (row.n, row.value.hex(), row.gap.hex()) == (
+                n, want.hex(), abs(want - limit).hex()), (c, n)
+
+
+def test_series_refuses_n_from_2_to_the_53():
+    # at once, before the first term: 2^53 - 1 would sum ~10^9 of them
+    for n in (2 ** 53, 10 ** 18):
+        with pytest.raises(DomainError):
+            family_discrepancy(FamilyPoint(n, 0.5))
+        with pytest.raises(DomainError):
+            convergence_check(1.514, [n])
+    # one below, a short series is still served, and bit for bit
+    n = 2 ** 53 - 1
+    for x in (0.5, 0.01):
+        got = family_discrepancy(FamilyPoint(n, x))
+        assert got.hex() == _scalar_family_series(n, x).hex()
 
 
 def test_closed_form_near_the_degenerate_edge():

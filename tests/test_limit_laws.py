@@ -10,9 +10,11 @@ from pairlaw import (DomainError, InputError, NonPositiveC, NonPositiveParameter
                      QuadratureResult, ToleranceNotMet, convergence_check, ell,
                      ell_argmax, ell_shoes, ell_shoes_diag_argmax)
 from pairlaw.family_opt import OptResult
-from pairlaw.limit_laws import (_adaptive_simpson, _ell_closed, _ell_shoes_closed,
+from pairlaw.limit_laws import (_MILLS_TERMS, ARGMAX_GRID, MILLS_SWITCH,
+                                SEARCH_HI, _adaptive_simpson, _ell_closed,
+                                _ell_shoes_closed, _ell_shoes_diag,
                                 _ell_shoes_diag_slope, _ell_slope,
-                                ell_shoes_value, ell_value)
+                                _mills_ratios, ell_shoes_value, ell_value)
 
 ELL_MAX_C = 1.5139940757525916
 ELL_MAX_VALUE = 0.1832000624087106
@@ -233,6 +235,39 @@ def test_closed_form_is_relative_exact_for_large_c():
             want = mp.quad(lambda u: u * u * mp.exp(-u - u * u / (2 * cc)),
                            [0, mp.inf]) / (1 + cc)
             assert abs(_ell_closed(c) - want) <= 1e-15 * want, c
+
+
+def _scalar_mills_ratios(x):
+    # the continued fraction as a loop over int k that shuffles a tuple,
+    # frozen here as the float-table loop's bit-for-bit reference
+    r1 = r2 = r3 = 0.0
+    for k in range(16 + int(512.0 / (x * x)), 0, -1):
+        r1, r2, r3 = k / (x + r1), r1, r2
+    return r1, r2, r3
+
+
+def test_mills_ratios_match_the_tuple_loop_bit_for_bit():
+    xs = np.geomspace(MILLS_SWITCH, 1e6, 2000).tolist()
+    for at in (1.0, SEARCH_HI):
+        xs += [math.nextafter(at, 0.0), at, math.nextafter(at, math.inf)]
+    for x in xs:
+        got, want = _mills_ratios(x), _scalar_mills_ratios(x)
+        assert [v.hex() for v in got] == [v.hex() for v in want], x
+
+
+def test_mills_table_holds_every_term_from_the_switch():
+    # a slice past the table's start would drop the largest k silently
+    x = MILLS_SWITCH
+    assert len(_MILLS_TERMS) >= 16 + int(512.0 / (x * x))
+    assert _MILLS_TERMS == tuple(float(k) for k in
+                                 range(len(_MILLS_TERMS), 0, -1))
+
+
+def test_diagonal_matches_the_surface_bit_for_bit():
+    # the diagonal argmax's scan grid
+    grid = SEARCH_HI * (np.arange(ARGMAX_GRID) + 0.5) / ARGMAX_GRID
+    for a in grid.tolist() + [0.3, 1.0, 1.562239440914718, 1e6]:
+        assert _ell_shoes_diag(a).hex() == _ell_shoes_closed(a, a).hex(), a
 
 
 def test_slopes_are_derivatives_of_the_closed_forms():
