@@ -11,11 +11,13 @@ truncation, 5 an internal fault (a bug, not bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .dist_core import Distribution, RngSeed, validate
@@ -23,7 +25,8 @@ from .errors import (ExcessTruncation, InputError, InternalFault,
                      ToleranceNotMet, UnimodalityError)
 from .family_opt import family_argmax, figure_family_curves, simplex_search
 from .limit_laws import (DEFAULT_TOL, _check_tol, ell, ell_argmax, ell_shoes,
-                         ell_shoes_diag_argmax, ell_shoes_value, ell_value)
+                         ell_shoes_diag_argmax, ell_shoes_diag_value,
+                         ell_shoes_value, ell_value)
 from .pair_laws import derive_m1, derive_m2, tvd
 from .shoes import (SHOES_EXACT_MAX_COLORS, ShoePair, shoes_m1,
                     shoes_m2_exact, shoes_m2_simulate, sup_one_demo)
@@ -87,6 +90,21 @@ def csv_from_results(results: dict) -> str:
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
+@functools.lru_cache(maxsize=None)
+def _encode(separator: str):
+    """The C encoder's encode with item separator `separator`, built once:
+    json.dumps with keyword arguments builds an encoder a call."""
+    return json.JSONEncoder(separators=(separator, ": ")).encode
+
+
+def _key(key) -> str:
+    """A dict key as the encoder writes one: a str escaped as a string,
+    any other scalar as its token in quotes."""
+    if type(key) is str:
+        return encode_basestring_ascii(key)
+    return json.dumps({key: 0})[1:-4]
+
+
 def _json(value, depth: int = 0) -> str:
     """The text json.dumps(value, indent=2) gives for a value nested
     `depth` levels deep, with no copy of the value and with the C encoder
@@ -96,8 +114,8 @@ def _json(value, depth: int = 0) -> str:
     carries the newline and the indent.  A table of flat rows is one C
     call too, its separator indented as for the cells; the rows part at
     "],<newline><indent>[", which only a row boundary can spell, since a
-    JSON string never holds a raw newline.  Anything else is walked item
-    by item.
+    JSON string never holds a raw newline, so one replace re-wraps the
+    rows unless some row is empty.  Anything else is walked item by item.
     """
     if isinstance(value, dict):
         items, brackets = value.values(), "{}"
@@ -110,16 +128,20 @@ def _json(value, depth: int = 0) -> str:
     outer = "\n" + "  " * depth
     inner = outer + "  "
     if set(map(type, items)) <= _SCALARS:
-        body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+        body = _encode("," + inner)(value)[1:-1]
     elif brackets == "[]" and set(map(type, value)) <= {list, tuple} and \
             {type(cell) for row in value for cell in row} <= _SCALARS:
         cell = inner + "  "
-        rows = json.dumps(value, separators=("," + cell, ": "))[2:-2]
-        body = ("," + inner).join(f"[{cell}{row}{inner}]" if row else "[]"
-                                  for row in rows.split(f"],{cell}["))
-    elif brackets == "{}":  # each key as the encoder writes a key
-        body = ("," + inner).join(f"{json.dumps({key: 0})[1:-4]}: "
-                                  f"{_json(item, depth + 1)}"
+        rows = _encode("," + cell)(value)[2:-2]
+        if all(value):
+            body = (f"[{cell}" + rows.replace(f"],{cell}[",
+                                              f"{inner}],{inner}[{cell}")
+                    + f"{inner}]")
+        else:
+            body = ("," + inner).join(f"[{cell}{row}{inner}]" if row else "[]"
+                                      for row in rows.split(f"],{cell}["))
+    elif brackets == "{}":
+        body = ("," + inner).join(f"{_key(key)}: {_json(item, depth + 1)}"
                                   for key, item in value.items())
     else:
         body = ("," + inner).join(_json(item, depth + 1) for item in value)
@@ -217,7 +239,7 @@ def cmd_limit(args: argparse.Namespace) -> OutputEnvelope:
     flags, point, value, argmax = {
         "socks": (("c",), ell, ell_value, ell_argmax),
         "shoes-diag": (("a",), lambda a, tol: ell_shoes(a, a, tol),
-                       lambda a: ell_shoes_value(a, a), ell_shoes_diag_argmax),
+                       ell_shoes_diag_value, ell_shoes_diag_argmax),
         "shoes-grid": (("a", "b"), ell_shoes, ell_shoes_value, None),
     }[args.kind]
     given = [name for name in ("c", "a", "b") if getattr(args, name) is not None]

@@ -95,18 +95,67 @@ def validate(raw: Iterable[float]) -> Distribution:
     return Distribution(tuple(float(v) for v in raw))
 
 
+#: Up to this many entries numpy's row sum adds left to right (its pairwise
+#: sum starts at 8), so a block of at most this many colors runs as color
+#: vectors, one whole vector an operation, with the row path's bits.
+COLUMN_MAX_COLORS = 7
+
+#: Compare-exchange networks ordering m = 1..COLUMN_MAX_COLORS entries
+#: with the fewest comparators known (0, 1, 3, 5, 9, 12, 16): pair (i, j),
+#: i < j, leaves the larger entry at i.
+SORT_NETWORKS = (
+    (), (),
+    ((0, 1),),
+    ((0, 2), (0, 1), (1, 2)),
+    ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+    ((0, 3), (1, 4), (0, 2), (1, 3), (0, 1), (2, 4), (1, 2), (3, 4), (2, 3)),
+    ((0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5), (0, 1), (2, 3),
+     (4, 5), (1, 2), (3, 4)),
+    ((0, 6), (2, 3), (4, 5), (0, 2), (1, 4), (3, 6), (0, 1), (2, 5), (3, 4),
+     (1, 2), (4, 6), (2, 3), (4, 5), (1, 2), (3, 4), (5, 6)),
+)
+
+
+def _color_sums(Q: np.ndarray) -> np.ndarray:
+    """Q[0] + Q[1] + ... + Q[m-1], added left to right: the bits of the
+    row sums of Q.T up to COLUMN_MAX_COLORS colors."""
+    total = Q[0].copy()
+    for q in Q[1:]:
+        total += q
+    return total
+
+
+def _sort_colors(Q: np.ndarray) -> None:
+    """Put each column of Q, of at most COLUMN_MAX_COLORS entries, in
+    nonincreasing order in place: the SORT_NETWORKS pass of its size, one
+    np.minimum and one np.maximum on whole color vectors a comparator."""
+    low = np.empty(Q.shape[1])
+    for i, j in SORT_NETWORKS[len(Q)]:
+        np.minimum(Q[i], Q[j], out=low)
+        np.maximum(Q[i], Q[j], out=Q[i])
+        Q[j] = low
+
+
 def _sorted_simplex_rows(m: int, count: int, g: np.random.Generator) -> np.ndarray:
     """count independent uniform draws from the nonincreasing probability
     vectors of length m, as rows.
 
     m standard exponentials normalized by their sum are uniform on the
     simplex (Dirichlet with all parameters 1); sorting folds each draw onto
-    the nonincreasing chamber, where the density is again constant.
+    the nonincreasing chamber, where the density is again constant.  Up to
+    COLUMN_MAX_COLORS colors the rows are the view Q.T of one (colors x
+    rows) array, normalized by _color_sums and ordered by _sort_colors,
+    bit for bit the row sum and sort that wider rows take.
     """
     e = g.standard_exponential((count, m))
-    e /= e.sum(axis=1, keepdims=True)
-    e.sort(axis=1)
-    return e[:, ::-1]
+    if m > COLUMN_MAX_COLORS:
+        e /= e.sum(axis=1, keepdims=True)
+        e.sort(axis=1)
+        return e[:, ::-1]
+    Q = np.ascontiguousarray(e.T)
+    Q /= _color_sums(Q)
+    _sort_colors(Q)
+    return Q.T
 
 
 def _alias_tables(probs: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:

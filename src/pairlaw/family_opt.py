@@ -49,8 +49,10 @@ SERIES_BLOCK = 2 ** 14
 #: Most cells (points x colors x Gauss nodes a point) of one search, the
 #: work of its _discrepancy_rows passes; _blocks bounds a search's memory,
 #: this its time.  On one thread of a 2-core box (numpy 2.4) a cell costs
-#: 5 ns at 256 colors, 29 ns at 10^5 and 76 ns at 3, where the per-point
-#: draw and sort dominate, so a search at the cap runs at most about 80 s.
+#: 5 ns at 256 colors, 29 ns at 10^5, 21 ns at 8 and about 40 ns at 2 and
+#: 3, where the per-point draw dominates (88 and 70 ns when blocks of
+#: under 8 colors ran row by row), so a search at the cap runs at most
+#: about 40 s.
 SEARCH_MAX_CELLS = 10 ** 9
 
 #: Curves are sampled up to, not at, the degenerate x = 1 edge.

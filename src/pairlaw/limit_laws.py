@@ -297,6 +297,13 @@ def ell_shoes_value(a: float, b: float) -> float:
     return _ell_shoes_closed(a, b)
 
 
+def ell_shoes_diag_value(a: float) -> float:
+    """ell(a, a) from its closed form, bit for bit ell_shoes_value(a, a),
+    after the same check, with I_1(a / sqrt 2) taken once."""
+    _check_ab(a, a)
+    return _ell_shoes_diag(a)
+
+
 def _ell_shoes_diag_slope(a: float) -> float:
     """d ell(a, a) / da = 2a / (1 + a^2)^2
     - sqrt 2 [I_2(a / sqrt 2) - I_2(a sqrt 2)]."""

@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import _blocks, map_ordered
-from .dist_core import (Distribution, _alias_draw, _alias_select,
-                        _alias_tables)
+from .dist_core import (COLUMN_MAX_COLORS, Distribution, _alias_draw,
+                        _alias_select, _alias_tables, _color_sums)
 from .errors import (DomainError, ExcessTruncation, IndexMismatch,
                      InternalFault, ToleranceNotMet, TooManyColors)
 
@@ -362,10 +362,22 @@ def _walk_chunk(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
 TRUNCATION_FRACTION = 1e-6
 
 
+#: Most colors of one simulation.  Beside its walks a run holds its laws
+#: as Python floats and its alias tables, about 250 bytes a color: under
+#: the 2 GiB address-space limit of the CLI's bounded-input test (2 cores,
+#: numpy 2.4) a witness ladder of 7 * 10^6 colors ran at a 1.7 GB peak,
+#: 8 * 10^6 raised MemoryError, and 200 walks at the cap peaked at 1.0 GB.
+SIM_MAX_COLORS = 1 << 22
+
+
 def _walk_plan(trials: int, m: int) -> list[tuple[int, int]]:
-    """The blocks of a simulation of `trials` walks on m colors.  Either
-    simulator plans them for two flat count * m seen arrays (2 * m bytes a
-    walk), so socks and shoes share one plan."""
+    """The blocks of a simulation of `trials` walks on m colors, refused
+    past SIM_MAX_COLORS.  Either simulator plans them for two flat
+    count * m seen arrays (2 * m bytes a walk), so socks and shoes share
+    one plan."""
+    if m > SIM_MAX_COLORS:
+        raise DomainError(f"{m} colors are past the {SIM_MAX_COLORS}-color "
+                          f"simulation cap")
     return _blocks(trials, 2 * m)
 
 
@@ -376,20 +388,22 @@ def _simulate(sides: Sequence[Sequence[float]], trials: int, seed,
     steps.
 
     Trials are split into the blocks of _walk_plan, one derived seed
-    stream per block.  Each block's counts are folded into one total as
-    the block finishes; they are integer sums, so the report is a pure
-    function of (sides, trials, seed, horizon) whatever the thread count
-    or the order the blocks finish in, and only the blocks in flight hold
-    counts of their own.  Walks that outlive the horizon are dropped from
-    the tally and counted; a truncated fraction reaching
+    stream per block, planned (or refused) before any table is built.
+    Each block's counts are folded into one total as the block finishes;
+    they are integer sums, so the report is a pure function of (sides,
+    trials, seed, horizon) whatever the thread count or the order the
+    blocks finish in, and only the blocks in flight hold counts of their
+    own.  Walks that outlive the horizon are dropped from the tally and
+    counted; a truncated fraction reaching
     TRUNCATION_FRACTION raises ExcessTruncation, since truncation
     preferentially discards slow-absorbing colors.
     """
     if trials < 1:
         raise DomainError("trials must be at least 1")
+    m = len(sides[0])
+    plan = _walk_plan(trials, m)
     tables = [_alias_tables(probs) for probs in sides]
     selects = [_alias_select(*t) for t in tables]
-    m = len(sides[0])
     counts = np.zeros(m, dtype=np.int64)
     fold = threading.Lock()
 
@@ -401,7 +415,7 @@ def _simulate(sides: Sequence[Sequence[float]], trials: int, seed,
             np.add(counts, block_counts, out=counts)
         return truncated
 
-    truncated = sum(map_ordered(run, _walk_plan(trials, m), threads))
+    truncated = sum(map_ordered(run, plan, threads))
     if truncated >= TRUNCATION_FRACTION * trials:
         raise ExcessTruncation(
             f"{truncated} of {trials} walks ran past {horizon} steps")
@@ -474,8 +488,16 @@ def draw_stats(d: Distribution) -> DrawStats:
 
 
 def _discrepancy_rows(P: np.ndarray) -> np.ndarray:
-    """Discrepancy of each row; vectorized mirror of discrepancy()."""
-    gap = P * P
-    gap /= gap.sum(axis=1, keepdims=True)
-    gap -= _m2_rows(P)
-    return 0.5 * np.abs(gap, out=gap).sum(axis=1)
+    """Discrepancy of each row; vectorized mirror of discrepancy().  Up to
+    COLUMN_MAX_COLORS colors it runs on the color vectors of P.T, whose
+    _color_sums are the row sums' bits."""
+    if P.shape[1] > COLUMN_MAX_COLORS:
+        gap = P * P
+        gap /= gap.sum(axis=1, keepdims=True)
+        gap -= _m2_rows(P)
+        return 0.5 * np.abs(gap, out=gap).sum(axis=1)
+    Q = np.ascontiguousarray(P.T)
+    gap = Q * Q
+    gap /= _color_sums(gap)
+    gap -= _m2_rows(Q.T).T
+    return 0.5 * _color_sums(np.abs(gap, out=gap))

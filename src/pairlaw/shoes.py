@@ -189,8 +189,8 @@ def sup_one_demo(n_list: Sequence[int], trials: int, seed: RngSeed, *,
 
     Each size gets its own derived seed stream; values climb toward one as
     n grows, exhibiting the supremum (never attained at any finite size).
-    Every size's pair, horizon cap and block plan are checked before the
-    first walk, so a ladder that cannot run is refused at once.
+    Every size's pair, horizon cap, color cap and block plan are checked
+    before the first walk, so a ladder that cannot run is refused at once.
     """
     pairs = [witness_family(int(n)) for n in n_list]
     for sp in pairs:

@@ -159,6 +159,9 @@ def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
         # refused before the 6 * 10^7 walks of its first size
         (["shoes", "sup-demo", "--n", "16,10000", "--trials", "60000000"],
          {}),
+        # 10^7 + 1 colors, past the simulation's color cap: the walks ran
+        # 43 s, and then building its laws raised MemoryError
+        (["shoes", "sup-demo", "--n", "10000000", "--trials", "200"], {}),
         # 8 points of 10^6 colors at 640 nodes, 5.1 * 10^9 cells, past the
         # search cap: one block, which ran 94 s
         (["search", "--m", "1000000", "--points", "8"], {}),

@@ -1,6 +1,7 @@
 """Head-plus-uniform-tails family: closed form, maximizers, search."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,10 +14,13 @@ from pairlaw import (THREE_COLOR_ARGMAX, THREE_COLOR_DOUBLED_MAX,
                      family_discrepancy, figure_family_curves, simplex_search,
                      solve_poly)
 from pairlaw import family_opt
+from pairlaw.dist_core import (COLUMN_MAX_COLORS, SORT_NETWORKS, _color_sums,
+                               _sort_colors, _sorted_simplex_rows)
 from pairlaw.family_opt import (ARGMAX_GRID, CURVE_EDGE, SEARCH_MAX_CELLS,
                                 FamilyCurveRow, OptResult, _family_rows,
                                 _family_slope)
 from pairlaw.limit_laws import ell_value
+from pairlaw.pair_laws import _discrepancy_rows, _m2_rows, _nodes_per_row
 
 # interior maximizers x_n and peak values D(x_n) for n = 1..9, to 20 digits
 X_N = (0.6966599465951643196, 0.5820110139097399105, 0.5160030571683498864,
@@ -282,6 +286,81 @@ def test_search_argument_validation():
         simplex_search(1, 100, RngSeed(0))
     with pytest.raises(DomainError):
         simplex_search(3, 0, RngSeed(0))
+
+
+def _row_simplex_rows(m, count, g):
+    """The row-major draw, sum and sort that the color-vector blocks
+    replaced below 8 colors, frozen as their oracle."""
+    e = g.standard_exponential((count, m))
+    e /= e.sum(axis=1, keepdims=True)
+    e.sort(axis=1)
+    return e[:, ::-1]
+
+
+def _row_discrepancy_rows(P):
+    """The row-major scorer that the color-vector blocks replaced below 8
+    colors, frozen as their oracle."""
+    gap = P * P
+    gap /= gap.sum(axis=1, keepdims=True)
+    gap -= _m2_rows(P)
+    return 0.5 * np.abs(gap, out=gap).sum(axis=1)
+
+
+def test_search_blocks_match_the_row_path_bit_for_bit():
+    # 65,536 rows are a full search block.  Blocks past 2 * 10^7 cells
+    # (2,048 rows of 255 colors and up: 128 to 640 nodes a row, 0.4 to
+    # 3.5 s) are drawn but not scored; past 7 colors the scorer runs the
+    # frozen rows' code, which counts of 1 and 7 rows still check.
+    for seed in (0, 1, 2):
+        for m in [*range(2, 21), 255, 256, 257]:
+            for count in (1, 7, 2048, 65536):
+                if count == 65536 and (m > 20 or seed and m > 7):
+                    continue
+                got = _sorted_simplex_rows(m, count, RngSeed(seed).generator())
+                want = _row_simplex_rows(m, count, RngSeed(seed).generator())
+                assert got.shape == want.shape == (count, m)
+                assert got.tobytes() == want.tobytes(), (seed, m, count)
+                if count * m * _nodes_per_row(m) > 2 * 10 ** 7:
+                    continue
+                value = _row_discrepancy_rows(want).tobytes()
+                assert _discrepancy_rows(got).tobytes() == value, (seed, m,
+                                                                   count)
+                if m <= COLUMN_MAX_COLORS:  # row-major input is copied
+                    rows = np.ascontiguousarray(want)
+                    assert _discrepancy_rows(rows).tobytes() == value
+
+
+def test_color_sums_and_networks_match_numpy_row_sums_and_sort():
+    rng = np.random.default_rng(61)
+    for m in range(1, COLUMN_MAX_COLORS + 1):
+        assert len(SORT_NETWORKS[m]) == (0, 0, 1, 3, 5, 9, 12, 16)[m]
+        rows = rng.standard_exponential((4096, m)) ** rng.uniform(0.2, 5.0)
+        rows[rng.random(rows.shape) < 0.1] = 0.5  # ties
+        Q = np.ascontiguousarray(rows.T)
+        assert _color_sums(Q).tobytes() == rows.sum(axis=1).tobytes(), m
+        # random columns with ties, and every 0-1 column (a comparator
+        # network that orders these orders every input)
+        binary = (np.arange(2 ** m)[None, :] >> np.arange(m)[:, None]) & 1
+        for Q in (Q, binary.astype(float)):
+            want = np.sort(Q.T, axis=1)[:, ::-1].tobytes()
+            _sort_colors(Q)
+            assert Q.T.tobytes() == want, m
+    # past COLUMN_MAX_COLORS numpy's row sum is pairwise, not left to right
+    rows = rng.standard_exponential((4096, COLUMN_MAX_COLORS + 1))
+    assert not np.array_equal(_color_sums(rows.T), rows.sum(axis=1))
+
+
+def test_color_vector_block_peaks_below_the_row_block():
+    def peak(draw, score):
+        tracemalloc.start()
+        try:
+            score(draw(3, 65536, RngSeed(4).generator()))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    row_peak = peak(_row_simplex_rows, _row_discrepancy_rows)
+    assert peak(_sorted_simplex_rows, _discrepancy_rows) <= row_peak
 
 
 def test_search_cell_cap_refuses_before_the_first_block(monkeypatch):

@@ -14,7 +14,8 @@ from pairlaw.limit_laws import (_MILLS_TERMS, ARGMAX_GRID, MILLS_SWITCH,
                                 SEARCH_HI, _adaptive_simpson, _ell_closed,
                                 _ell_shoes_closed, _ell_shoes_diag,
                                 _ell_shoes_diag_slope, _ell_slope,
-                                _mills_ratios, ell_shoes_value, ell_value)
+                                _mills_ratios, ell_shoes_diag_value,
+                                ell_shoes_value, ell_value)
 
 ELL_MAX_C = 1.5139940757525916
 ELL_MAX_VALUE = 0.1832000624087106
@@ -264,10 +265,18 @@ def test_mills_table_holds_every_term_from_the_switch():
 
 
 def test_diagonal_matches_the_surface_bit_for_bit():
-    # the diagonal argmax's scan grid
+    # the diagonal argmax's scan grid, and the ticks of the default
+    # shoes-diag curve (--lo 0.1 --hi 10 --points 64) and a finer one
     grid = SEARCH_HI * (np.arange(ARGMAX_GRID) + 0.5) / ARGMAX_GRID
-    for a in grid.tolist() + [0.3, 1.0, 1.562239440914718, 1e6]:
+    ticks = [0.1 + (10.0 - 0.1) * i / (points - 1)
+             for points in (64, 10 ** 4) for i in range(points)]
+    for a in grid.tolist() + ticks + [0.3, 1.0, 1.562239440914718, 1e6]:
         assert _ell_shoes_diag(a).hex() == _ell_shoes_closed(a, a).hex(), a
+    for a in ticks + [1e-300, 1e150]:
+        assert ell_shoes_diag_value(a).hex() == ell_shoes_value(a, a).hex(), a
+    for a in (0.0, -1.0, math.nan, math.inf, 1e200):
+        with pytest.raises(NonPositiveParameter):
+            ell_shoes_diag_value(a)
 
 
 def test_slopes_are_derivatives_of_the_closed_forms():

@@ -1,4 +1,4 @@
-"""Seeded simulation outputs, pinned value for value.
+"""Seeded simulation and search outputs, pinned value for value.
 
 Thread invariance alone would not notice a change in the order the walks
 consume their random streams; these exact figures do.
@@ -11,7 +11,8 @@ import pytest
 
 import pairlaw.shoes as shoes
 from pairlaw import (ExcessTruncation, RngSeed, ShoePair, m2_simulate,
-                     shoes_m2_simulate, validate, witness_family)
+                     shoes_m2_simulate, simplex_search, validate,
+                     witness_family)
 
 TRIPLE = validate([0.5, 0.3, 0.2])
 SIX = validate([0.3, 0.25, 0.2, 0.1, 0.1, 0.05])
@@ -128,3 +129,33 @@ def test_witness_family_truncation_on_shrunk_blocks(monkeypatch):
                        match="^635 of 7000 walks ran past 300 steps$"):
         shoes_m2_simulate(witness_family(10**4), 7_000, RngSeed(21),
                           threads=1)
+
+
+# Searches on the color-vector blocks (3 and 7 colors) and on the row
+# blocks (12 colors): best point, value and family gap.
+
+def test_search_on_three_colors():
+    best, value, gap = simplex_search(3, 30_000, RngSeed(7), threads=1)
+    assert best.probs == (0.5817186549434823, 0.21057964945282281,
+                          0.20770169560369486)
+    assert (value, gap) == (0.08429053169951382, 0.0014389769245639755)
+
+
+def test_search_on_seven_colors():
+    best, value, gap = simplex_search(7, 20_000, RngSeed(3), threads=2)
+    assert best.probs == (0.42143545807466215, 0.11304201351901749,
+                          0.10239674034855972, 0.10114851767269738,
+                          0.08914282716074087, 0.08803253377765836,
+                          0.08480190944666384)
+    assert (value, gap) == (0.1173957440969314, 0.027305000577605758)
+
+
+def test_search_on_twelve_colors():
+    best, value, gap = simplex_search(12, 5_000, RngSeed(5), threads=1)
+    assert best.probs == (0.35445894348095763, 0.08975730774104052,
+                          0.08773435197581027, 0.07443353331890841,
+                          0.07345488711599199, 0.06612291504980645,
+                          0.05980084821366268, 0.05763978118687448,
+                          0.055242904984405296, 0.038167776358863995,
+                          0.03747365036094197, 0.0057131002127362865)
+    assert (value, gap) == (0.1273795523602848, 0.09919053985937903)

@@ -7,7 +7,7 @@ import pytest
 
 from pairlaw import (DomainError, ExcessTruncation, IndexMismatch,
                      InvalidPair, NTooSmall, RngSeed, ShoePair, TooManyColors,
-                     shoes_discrepancy, shoes_m1, shoes_m2_exact,
+                     m2_simulate, shoes_discrepancy, shoes_m1, shoes_m2_exact,
                      shoes_m2_simulate, shoes_match_probability, sup_one_demo,
                      tvd, validate, witness_family)
 from pairlaw import pair_laws, shoes
@@ -235,6 +235,16 @@ def test_sup_one_demo_refuses_a_ladder_before_its_first_walk(monkeypatch):
         sup_one_demo([16, 10_000], 60_000_000, RngSeed(0))
     with pytest.raises(NTooSmall):
         sup_one_demo([16, 15], 100, RngSeed(0))
+    # a size past the color cap (here 20 colors) is refused, and the
+    # simulators refuse it before building their alias tables
+    monkeypatch.setattr(pair_laws, "SIM_MAX_COLORS", 20)
+    monkeypatch.setattr(pair_laws, "_alias_tables", forbidden)
+    with pytest.raises(DomainError, match="20-color simulation cap"):
+        sup_one_demo([16, 20], 100, RngSeed(0))
+    with pytest.raises(DomainError, match="20-color simulation cap"):
+        shoes_m2_simulate(witness_family(20), 100, RngSeed(0))
+    with pytest.raises(DomainError, match="21 colors are past"):
+        m2_simulate(validate([1 / 21] * 21), 100, RngSeed(0))
 
 
 def test_sup_one_demo_is_deterministic():
