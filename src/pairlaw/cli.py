@@ -336,7 +336,19 @@ def _add_threads(p: argparse.ArgumentParser) -> None:
                    help="worker threads (default: PAIRLAW_THREADS or all CPUs)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(leaves: dict | None = None) -> argparse.ArgumentParser:
+    """The full parser.  leaves, when given, gets each leaf's subcommand
+    path, such as ("shoes", "derive"), mapped to the leaf's own parser and
+    the dests that the levels above it set."""
+    leaves = {} if leaves is None else leaves
+
+    def leaf(group, name: str, summary: str,
+             **above) -> argparse.ArgumentParser:
+        dests = {**above, group.dest: name}
+        p = group.add_parser(name, help=summary)
+        leaves[tuple(dests.values())] = p, dests
+        return p
+
     parser = argparse.ArgumentParser(
         prog="pairlaw",
         description="Pair-color laws of matching experiments: exact "
@@ -344,14 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("derive", help="both pair laws of one distribution")
+    p = leaf(sub, "derive", "both pair laws of one distribution")
     p.add_argument("--dist", help="comma-separated probabilities")
     p.add_argument("--dist-file", help="file with one probability per line")
     p.add_argument("--method", choices=["m1", "m2", "both"], default="both")
     _add_format(p)
     p.set_defaults(handler=cmd_derive)
 
-    p = sub.add_parser("family", help="one-heavy-color family extremum or curve")
+    p = leaf(sub, "family", "one-heavy-color family extremum or curve")
     p.add_argument("--n", type=int, required=True, help="tail color count")
     p.add_argument("--action", choices=["max", "curve"], default="max")
     p.add_argument("--samples", type=int, default=129,
@@ -359,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(handler=cmd_family)
 
-    p = sub.add_parser("limit", help="limit curves and their constants")
+    p = leaf(sub, "limit", "limit curves and their constants")
     p.add_argument("--kind", choices=["socks", "shoes-diag", "shoes-grid"],
                    required=True)
     p.add_argument("--argmax", action="store_true", help="locate the maximum")
@@ -373,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(handler=cmd_limit)
 
-    p = sub.add_parser("search", help="random search over the sorted simplex")
+    p = leaf(sub, "search", "random search over the sorted simplex")
     p.add_argument("--m", type=int, required=True, help="color count")
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -384,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shoes", help="alternating left/right collection")
     shoes_sub = p.add_subparsers(dest="shoes_command", required=True)
 
-    q = shoes_sub.add_parser("derive", help="laws and discrepancy of a pair")
+    q = leaf(shoes_sub, "derive", "laws and discrepancy of a pair",
+             command="shoes")
     q.add_argument("--left", help="comma-separated left probabilities")
     q.add_argument("--left-file")
     q.add_argument("--right", help="comma-separated right probabilities")
@@ -397,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(q)
     q.set_defaults(handler=cmd_shoes_derive)
 
-    q = shoes_sub.add_parser("sup-demo",
-                             help="witness-family discrepancy ladder")
+    q = leaf(shoes_sub, "sup-demo", "witness-family discrepancy ladder",
+             command="shoes")
     q.add_argument("--n", required=True, help="comma-separated family sizes")
     q.add_argument("--trials", type=int, default=1_000_000)
     q.add_argument("--seed", type=int, default=0)
@@ -409,15 +422,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_MAIN_PARSER: argparse.ArgumentParser | None = None
+#: The full parser and its leaves, built on first use; parsing never
+#: mutates a parser, so repeat in-process calls share them.
+_PARSERS: tuple[argparse.ArgumentParser, dict] | None = None
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the full parser parses it.
+
+    Above a leaf each level only picks the next one, yet re-scans every
+    token, so a request that starts with a leaf's path, and that the leaf
+    parses with nothing left over, is parsed by the leaf alone, with the
+    dests of the levels above set as they would set them.  The leaf
+    reports its own errors and help exactly as it does under the full
+    parser; anything else (a top-level flag, a typo, an argument the leaf
+    does not know) runs the full parser, whose messages are its own.
+    """
+    global _PARSERS
+    if _PARSERS is None:
+        leaves: dict = {}
+        _PARSERS = build_parser(leaves), leaves
+    parser, leaves = _PARSERS
+    found = leaves.get(tuple(argv[:2])) or leaves.get(tuple(argv[:1]))
+    if found is not None:
+        leaf, dests = found  # one dest a level, so one path token each
+        args, rest = leaf.parse_known_args(argv[len(dests):])
+        if not rest:
+            vars(args).update(dests)
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    # parsing never mutates the parser, so repeat in-process calls share one
-    global _MAIN_PARSER
-    if _MAIN_PARSER is None:
-        _MAIN_PARSER = build_parser()
-    args = _MAIN_PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         envelope = args.handler(args)
     except tuple(EXIT_CODES) as exc:

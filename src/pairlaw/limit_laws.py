@@ -80,53 +80,61 @@ def _adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], upper: float,
     Panels start on a geometric ladder with the first edge at scale / 8,
     so an integrand concentrated near zero at width `scale` is always
     probed inside its support; a uniform first split cannot miss it.  All
-    pending intervals advance one Richardson step per pass as flat arrays;
-    accepted intervals contribute value plus correction, and the error
-    budget halves with each split, keeping the total additive below tol.
+    pending intervals advance one Richardson step per pass; accepted
+    intervals contribute value plus correction, and the error budget
+    halves with each split, keeping the total additive below tol.
+
+    The pending intervals are the columns of one array whose rows are
+    (a, f(a)), (m, f(m)), (b, f(b)) with m their midpoint, then their
+    Simpson value and their budget.  A pass builds every child of every
+    pending interval, the left halves then the right ones, calls f once
+    on the children's midpoints, and keeps the children of the intervals
+    it splits by one column selection.
     """
     first = min(scale, upper) / 8.0
     edges = [0.0, first]
     while edges[-1] < upper:
         edges.append(min(upper, edges[-1] * 2.0))
-    a = np.asarray(edges[:-1])
-    b = np.asarray(edges[1:])
-    fa = f(a)
-    fb = f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    budget = np.full(a.shape, tol / a.size)
+    points = np.asarray(edges)
+    a, b = points[:-1], points[1:]
+    m = 0.5 * (a + b)
+    n = m.size
+    values = f(np.concatenate((points, m)))
+    fa, fb, fm = values[:n], values[1:n + 1], values[n + 1:]
+    pending = np.array([a, fa, m, fm, b, fb,
+                        (b - a) / 6.0 * (fa + 4.0 * fm + fb),
+                        np.full(n, tol / n)])
     total = 0.0
     err_total = 0.0
     splits = 0
     for _ in range(MAX_DEPTH):
-        if a.size == 0:
+        if n == 0:
             return total, err_total, splits
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = (left + right - whole) / 15.0
+        children = np.empty((8, 2 * n))
+        kids = children[:6].reshape(3, 2, 2 * n)
+        parents = pending[:6].reshape(3, 2, n)
+        kids[::2, :, :n] = parents[:2]
+        kids[::2, :, n:] = parents[1:]
+        a, fa, m, fm, b, fb, whole, budget = children
+        np.add(a, b, out=m)
+        m *= 0.5
+        fm[:] = f(m)
+        whole[:] = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+        np.divide(pending[7], 2.0, out=budget[:n])
+        budget[n:] = budget[:n]
+        halves = whole[:n] + whole[n:]
+        err = (halves - pending[6]) / 15.0
         size = np.abs(err)
         if not math.isfinite(size.sum()):  # it would split forever
             raise ToleranceNotMet(
                 f"quadrature error estimate is not finite at tol {tol!r}")
-        done = size <= budget
-        total += float(np.sum(left[done] + right[done] + err[done]))
+        done = size <= pending[7]
+        total += float(np.sum((halves + err)[done]))
         err_total += float(np.sum(size[done]))
         keep = ~done
         splits += int(np.count_nonzero(keep))
-        a = np.concatenate([a[keep], m[keep]])
-        b = np.concatenate([m[keep], b[keep]])
-        fa = np.concatenate([fa[keep], fm[keep]])
-        fb = np.concatenate([fm[keep], fb[keep]])
-        fm = np.concatenate([flm[keep], frm[keep]])
-        whole = np.concatenate([left[keep], right[keep]])
-        half = budget[keep] / 2.0
-        budget = np.concatenate([half, half])
+        pending = children[:, np.concatenate((keep, keep))]
+        n = pending.shape[1]
     raise ToleranceNotMet(
         f"quadrature hit the {MAX_DEPTH}-split depth cap at tol {tol!r}")
 

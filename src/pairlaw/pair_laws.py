@@ -227,13 +227,15 @@ def derive_m2(d: Distribution) -> PairLaw:
 
 
 @functools.lru_cache(maxsize=None)
-def _chain_states(k: int, m: int) -> tuple[list[tuple], np.ndarray]:
+def _chain_states(k: int, m: int) -> list[tuple]:
     """The (k + 1)^m digit-coded states of a k-side chain on m colors.
 
-    Per level, in index order: the states with that many seen colors,
-    their digits, and their unseen colors in color order; and each state's
-    rank within its level.  Cached per (k, m), like _laguerre: at the
-    20-color oracle cap the tables hold about 46 MB.
+    Per level, in index order: for each side s, which colors of each
+    state carry digit s + 1; each state's unseen colors in color order;
+    and for each side s the rank within the next level of the state that
+    marking each unseen color s + 1 reaches, as int32.  None depends on
+    the probabilities, so they are cached per (k, m), like _laguerre: at
+    the 20-color oracle cap the tables hold about 73 MB.
     """
     digits = np.zeros((1, 0), dtype=np.int8)
     for _ in range(m):  # each color enters as the next, higher digit
@@ -243,14 +245,21 @@ def _chain_states(k: int, m: int) -> tuple[list[tuple], np.ndarray]:
     seen = np.count_nonzero(digits, axis=1)
     order = np.argsort(seen, kind="stable")
     rank = np.empty_like(order)
-    levels = []
-    for level, states in enumerate(np.split(order,
-                                            np.cumsum(np.bincount(seen))[:-1])):
+    members = np.split(order, np.cumsum(np.bincount(seen))[:-1])
+    for states in members:
         rank[states] = np.arange(states.size)
+    place = (k + 1) ** np.arange(m)
+    levels = []
+    for level, states in enumerate(members):
         coded = digits[states]
         unseen = np.nonzero(coded == 0)[1].astype(np.int8)
-        levels.append((states, coded, unseen.reshape(states.size, m - level)))
-    return levels, rank
+        unseen = unseen.reshape(states.size, m - level)
+        marked = place[unseen]
+        successors = np.stack([rank[states[:, None] + (s + 1) * marked]
+                               for s in range(k)])
+        marks = np.stack([coded == s + 1 for s in range(k)])
+        levels.append((marks, unseen, successors.astype(np.int32)))
+    return levels
 
 
 def _chain_law(sides: Sequence[np.ndarray]) -> np.ndarray:
@@ -270,34 +279,35 @@ def _chain_law(sides: Sequence[np.ndarray]) -> np.ndarray:
     off the right-seen set): nonnegative terms, so full relative precision
     however close alpha beta comes to one, and positive, as some color has
     mass on both sides.  Levels, counts of seen colors, are swept in order
-    over the states with positive inflow.  Exponential in m by design: it
-    shares no code with the Poisson quadrature or the walks it checks.
+    over the states with positive inflow, which on a source with no zero
+    entry is every state.  Exponential in m by design: it shares no code
+    with the Poisson quadrature or the walks it checks.
     """
     k, m = len(sides), sides[0].size
-    levels, rank = _chain_states(k, m)
-    place = (k + 1) ** np.arange(m)
+    levels = _chain_states(k, m)
     absorb = np.zeros(m)
     inflow = np.eye(k, 1)  # one walk at the empty state, side 0 to draw
-    for level, (states, digits, unseen) in enumerate(levels):
+    for level, (marks, unseen, successors) in enumerate(levels):
         live = inflow.any(axis=0)
-        states, digits, unseen = states[live], digits[live], unseen[live]
-        inflow = inflow[:, live]
+        if not live.all():  # compress keeps the tables C-contiguous
+            marks, successors, inflow = (table.compress(live, axis=1) for table
+                                         in (marks, successors, inflow))
+            unseen = unseen[live]
         if k == 1:
             occupancy = inflow
         else:
             p, q = sides
-            left, right = digits == 1, digits == 2
+            left, right = marks
             alpha, beta = left @ p, right @ q
             gap = ~left @ p + alpha * (~right @ q)
             u = (inflow[0] + beta * inflow[1]) / gap
             occupancy = u, inflow[1] + alpha * u
-        ahead = np.zeros((k, levels[level + 1][0].size if level < m else 0))
+        ahead = np.zeros((k, len(levels[level + 1][1]) if level < m else 0))
         for s, (probs, u) in enumerate(zip(sides, occupancy)):
-            absorb += u @ (digits == (s - 1) % k + 1) * probs
-            first = rank[states[:, None] + (s + 1) * place[unseen]]
-            flow = u[:, None] * probs[unseen]
-            ahead[(s + 1) % k] += np.bincount(first.ravel(), flow.ravel(),
-                                              ahead.shape[1])
+            absorb += u @ marks[s - 1] * probs
+            flow = u[:, None] * probs.take(unseen)
+            ahead[(s + 1) % k] += np.bincount(successors[s].ravel(),
+                                              flow.ravel(), ahead.shape[1])
         inflow = ahead
     return absorb
 
@@ -315,46 +325,48 @@ def _walk_chunk(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
                 selects: Sequence | None = None) -> tuple[np.ndarray, int]:
     """Absorption counts and truncation count for one chunk of walks.
 
-    Step s draws from side s % len(tables) with that side's alias tables;
-    all live walks are at the same step, so one draw serves the batch.  A
-    walk absorbs when its color is already in seen[side - 1]: with one
-    side that is the walk's own seen set (a repeat), with two it is the
-    other side's (a completed left/right pair).
+    Step s draws from side s % k, k = len(tables), with that side's alias
+    tables; all live walks are at the same step, so one draw serves the
+    batch.  Colors carry _chain_law's digits: 0 while unseen and s + 1
+    once seen on side s, and side s absorbs on digit (s - 1) % k + 1, a
+    repeat with one side and the other side's color with two.  A live
+    walk never holds a color on both sides, as the second sighting
+    absorbs, so one digit a color is enough.
 
-    Each side's seen sets are one flat count * m bool array, walk w owning
-    entries w * m .. w * m + m - 1, and the live walks are kept as their
-    row offsets, so a lookup or a mark is one 1-D gather or scatter at
+    The digits are one flat count * m int8 array, walk w owning entries
+    w * m .. w * m + m - 1, and the live walks are kept as their row
+    offsets, so a lookup or a mark is one 1-D gather or scatter at
     rows + color.  Every drawn walk is marked before the absorbed ones are
     dropped: a dropped walk's row is never read again, so only the offsets
     are compacted, through index lists (nonzero, then take).  Absorbed
-    walks leave their last offset in one buffer, tallied by color at the
-    end, and the uniforms of every step are drawn into another.  A caller
-    running many chunks passes each side's _alias_select tables, built
-    once.
+    walks leave their color in one buffer, tallied at the end, and the
+    uniforms of every step are drawn into another.  A caller running many
+    chunks passes each side's _alias_select tables, built once.
     """
+    k = len(tables)
     if selects is None:
         selects = [_alias_select(*t) for t in tables]
-    seen = [np.zeros(count * m, dtype=bool) for _ in tables]
+    seen = np.zeros(count * m, dtype=np.int8)
     u = np.empty(count)
+    at = np.empty(count, dtype=np.int64)
     rows = np.arange(0, count * m, m)
     absorbed = np.empty(count, dtype=np.int64)
     for step in range(max_steps):
         if rows.size == 0:
             break
-        side = step % len(tables)
-        at = _alias_draw(*tables[side], g, rows.size, selects[side], u)
-        at += rows
-        hit = seen[side - 1].take(at)
-        seen[side][at] = True
+        side = step % k
+        color = _alias_draw(*tables[side], g, rows.size, selects[side], u)
+        spot = np.add(color, rows, out=at[:rows.size])
+        hit = seen.take(spot) == (side - 1) % k + 1
+        seen[spot] = side + 1
         done = hit.nonzero()[0]
         if done.size:
             gone = count - rows.size
             # indices in range: "wrap" spares the copy "raise" makes for out
-            at.take(done, out=absorbed[gone:gone + done.size], mode="wrap")
+            color.take(done, out=absorbed[gone:gone + done.size], mode="wrap")
             rows = rows.take(np.logical_not(hit, out=hit).nonzero()[0])
-    tally = absorbed[:count - rows.size]
-    tally %= m
-    return np.bincount(tally, minlength=m), int(rows.size)
+    return (np.bincount(absorbed[:count - rows.size], minlength=m),
+            int(rows.size))
 
 
 #: A truncated fraction at or above this fails the run rather than biasing
@@ -372,9 +384,9 @@ SIM_MAX_COLORS = 1 << 22
 
 def _walk_plan(trials: int, m: int) -> list[tuple[int, int]]:
     """The blocks of a simulation of `trials` walks on m colors, refused
-    past SIM_MAX_COLORS.  Either simulator plans them for two flat
-    count * m seen arrays (2 * m bytes a walk), so socks and shoes share
-    one plan."""
+    past SIM_MAX_COLORS.  Either simulator plans 2 * m bytes a walk, so
+    socks and shoes share one plan; the kernel holds m, one int8 digit a
+    color, and keeps the plan its seeded outputs were drawn on."""
     if m > SIM_MAX_COLORS:
         raise DomainError(f"{m} colors are past the {SIM_MAX_COLORS}-color "
                           f"simulation cap")

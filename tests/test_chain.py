@@ -158,3 +158,80 @@ def test_states_without_inflow_are_skipped():
     assert m2_oracle_exact(sparse).probs[:2] == (0.5, 0.5)
     assert (_best_time(lambda: m2_oracle_exact(sparse))
             < 0.25 * _best_time(lambda: m2_oracle_exact(dense)))
+
+
+def _rank_chain_states(k, m):
+    """_chain_states as it was before it cached successor ranks, frozen
+    with _rank_chain_law as the sweep's oracle: each level's states,
+    digits and unseen colors, and each state's rank within its level."""
+    digits = np.zeros((1, 0), dtype=np.int8)
+    for _ in range(m):
+        digits = np.concatenate([
+            np.column_stack((digits, np.full(len(digits), d, np.int8)))
+            for d in range(k + 1)])
+    seen = np.count_nonzero(digits, axis=1)
+    order = np.argsort(seen, kind="stable")
+    rank = np.empty_like(order)
+    levels = []
+    for level, states in enumerate(np.split(order,
+                                            np.cumsum(np.bincount(seen))[:-1])):
+        rank[states] = np.arange(states.size)
+        coded = digits[states]
+        unseen = np.nonzero(coded == 0)[1].astype(np.int8)
+        levels.append((states, coded, unseen.reshape(states.size, m - level)))
+    return levels, rank
+
+
+def _rank_chain_law(sides):
+    """_chain_law as it was before it cached successor ranks: it gathers
+    the live states on every level and looks each successor up in the
+    rank table."""
+    k, m = len(sides), sides[0].size
+    levels, rank = _rank_chain_states(k, m)
+    place = (k + 1) ** np.arange(m)
+    absorb = np.zeros(m)
+    inflow = np.eye(k, 1)
+    for level, (states, digits, unseen) in enumerate(levels):
+        live = inflow.any(axis=0)
+        states, digits, unseen = states[live], digits[live], unseen[live]
+        inflow = inflow[:, live]
+        if k == 1:
+            occupancy = inflow
+        else:
+            p, q = sides
+            left, right = digits == 1, digits == 2
+            alpha, beta = left @ p, right @ q
+            gap = ~left @ p + alpha * (~right @ q)
+            u = (inflow[0] + beta * inflow[1]) / gap
+            occupancy = u, inflow[1] + alpha * u
+        ahead = np.zeros((k, levels[level + 1][0].size if level < m else 0))
+        for s, (probs, u) in enumerate(zip(sides, occupancy)):
+            absorb += u @ (digits == (s - 1) % k + 1) * probs
+            first = rank[states[:, None] + (s + 1) * place[unseen]]
+            flow = u[:, None] * probs[unseen]
+            ahead[(s + 1) % k] += np.bincount(first.ravel(), flow.ravel(),
+                                              ahead.shape[1])
+        inflow = ahead
+    return absorb
+
+
+def test_cached_successor_ranks_keep_the_law_bit_for_bit():
+    # one side at 1..12 colors and two at 1..8, dense sources (no zero
+    # entry, so no level is filtered) and sparse ones
+    rng = np.random.default_rng(95)
+    compared = 0
+    for k, top in ((1, 12), (2, 8)):
+        for m in range(1, top + 1):
+            for sparse in (False, True) * 3:
+                make = _sparse_source if sparse else (
+                    lambda rng, m: validate(rng.dirichlet(
+                        np.ones(m) * rng.uniform(0.3, 3.0)).tolist()))
+                sides = [make(rng, m).as_array() for _ in range(k)]
+                if k == 2 and not (sides[0] * sides[1]).any():
+                    continue
+                got = pair_laws._chain_law(sides)
+                assert got.tobytes() == _rank_chain_law(sides).tobytes(), \
+                    (k, m, sparse)
+                compared += 1
+    assert compared >= 110
+

@@ -1,6 +1,8 @@
 """Command line: envelope shape, formats, exit codes, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -668,3 +670,103 @@ def test_unknown_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["derive", "--dist", "1.0", "--bogus"])
     assert exc.value.code == 2
+
+
+def _full_parse_run(argv):
+    """(exit code, stdout, stderr, namespace) of argv through a fresh full
+    parser, the handler and render: the route cli.main took before it
+    parsed at the leaf parser."""
+    out, err = io.StringIO(), io.StringIO()
+    args = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = cli.build_parser().parse_args(argv)
+            envelope = args.handler(args)
+        except SystemExit as exc:
+            code = exc.code
+        except tuple(cli.EXIT_CODES) as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            code = next(code for kind, code in cli.EXIT_CODES.items()
+                        if isinstance(exc, kind))
+        else:
+            sys.stdout.write(cli.render(envelope, args.format))
+            code = 0
+    return code, out.getvalue(), err.getvalue(), _fields(args)
+
+
+def _fields(args):
+    """A namespace's fields as text, so that NaN values compare equal."""
+    return None if args is None else {k: repr(v) for k, v in vars(args).items()}
+
+
+def _main_run(argv):
+    """(exit code, stdout, stderr, namespace) of argv through cli.main."""
+    out, err = io.StringIO(), io.StringIO()
+    args = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = cli._parse(list(argv))
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), _fields(args)
+
+
+#: Argvs whose parse takes argparse's less common turns: help and version
+#: before and after a subcommand, an ambiguous and an unknown flag, "--"
+#: and values that begin with "-", an incomplete path, repeated flags.
+HAND_PICKED = [
+    [], ["-h"], ["--version"], ["--help", "derive"], ["--version", "derive"],
+    ["derive", "-h"], ["derive", "--dist", "0.5,0.5", "--help"],
+    ["derive", "--version"], ["shoes", "-h"], ["shoes", "derive", "-h"],
+    ["shoes", "sup-demo", "--n", "16", "--version"],
+    ["derive", "--dis", "0.5,0.5"], ["derive", "--dist-f", "missing.txt"],
+    ["derive", "--dist", "1.0", "--bogus"], ["--bogus"], ["--bogus", "derive"],
+    ["limit", "--kind", "socks", "--arg"], ["limit", "--kind", "sock"],
+    ["derive", "--", "--dist", "1"], ["derive", "--dist", "1", "--"],
+    ["derive", "--dist", "--", "1"], ["derive", "--dist", "-1,2"],
+    ["derive", "--dist=-0.5,1.5"], ["limit", "--kind", "socks", "--c", "-1"],
+    ["limit", "--kind", "socks", "--c", "-1.5"], ["family", "--n", "-3"],
+    ["shoes", "derive", "--left", "-0.5,1.5", "--right", "0.5,0.5"],
+    ["shoes"], ["shoes", "derive"], ["shoes", "bogus"],
+    ["shoes", "--left", "1", "derive"], ["deriv", "--dist", "1"],
+    ["derive", "derive"], ["shoes", "derive", "derive"],
+    ["derive", "--dist", "1", "extra"], ["family"], ["family", "--n", "x"],
+    ["derive", "--method", "m3", "--dist", "1"],
+    ["family", "--n", "2", "--n", "3"],
+    ["derive", "--dist", "0.5,0.5", "--dist", "1", "--format", "json"],
+    ["search", "--m", "2", "--points", "5", "--threads", "1", "--threads",
+     "2", "--format", "json"],
+    ["shoes", "derive", "--left", "0.5,0.5", "--right", "0.5,0.5",
+     "--exact", "--exact", "--format", "json"],
+]
+
+
+def test_leaf_parsing_matches_the_full_parser_byte_for_byte(monkeypatch):
+    argvs = EVERY_MODE + _fuzz_argvs(1212, 60) + HAND_PICKED
+    well_formed = []
+    for argv in argvs:
+        want = _full_parse_run(argv)
+        got = _main_run(argv)
+        assert got[:3] == want[:3], argv
+        if want[3] is not None:
+            assert got[3] == want[3], argv
+            well_formed.append(argv)
+    assert len(well_formed) >= 70
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a well-formed argv ran the full parser")
+
+    full, _ = cli._PARSERS
+    monkeypatch.setattr(full, "parse_args", refuse)
+    for argv in well_formed:
+        cli._parse(argv)
+    with pytest.raises(AssertionError):
+        cli._parse(["derive", "--dist", "1", "--bogus"])
+
+
+def test_main_reads_sys_argv_without_an_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["pairlaw", "derive", "--dist", "0.75,0.25"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == run(capsys, "derive", "--dist",
+                                          "0.75,0.25")[1]

@@ -6,11 +6,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import pairlaw.limit_laws as limit_laws
 from pairlaw import (DomainError, InputError, NonPositiveC, NonPositiveParameter,
                      QuadratureResult, ToleranceNotMet, convergence_check, ell,
                      ell_argmax, ell_shoes, ell_shoes_diag_argmax)
 from pairlaw.family_opt import OptResult
-from pairlaw.limit_laws import (_MILLS_TERMS, ARGMAX_GRID, MILLS_SWITCH,
+from pairlaw.limit_laws import (_MILLS_TERMS, ARGMAX_GRID, MAX_DEPTH,
+                                MILLS_SWITCH,
                                 SEARCH_HI, _adaptive_simpson, _ell_closed,
                                 _ell_shoes_closed, _ell_shoes_diag,
                                 _ell_shoes_diag_slope, _ell_slope,
@@ -333,3 +335,114 @@ def test_convergence_domain_checks():
         convergence_check(1.514, [1])  # n must exceed c^2
     with pytest.raises(DomainError):
         convergence_check(0.001, [100])  # n c^2 must exceed 1
+
+
+def _two_call_simpson(f, upper, tol, scale):
+    """_adaptive_simpson as it was before a pass built its children as one
+    array, frozen as its oracle: f is called on the edges and midpoints
+    apart, then twice a pass, and the kept intervals are concatenated
+    array by array."""
+    first = min(scale, upper) / 8.0
+    edges = [0.0, first]
+    while edges[-1] < upper:
+        edges.append(min(upper, edges[-1] * 2.0))
+    a = np.asarray(edges[:-1])
+    b = np.asarray(edges[1:])
+    fa = f(a)
+    fb = f(b)
+    mid = 0.5 * (a + b)
+    fm = f(mid)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    budget = np.full(a.shape, tol / a.size)
+    total = 0.0
+    err_total = 0.0
+    splits = 0
+    for _ in range(MAX_DEPTH):
+        if a.size == 0:
+            return total, err_total, splits
+        m = 0.5 * (a + b)
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm = f(lm)
+        frm = f(rm)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = (left + right - whole) / 15.0
+        size = np.abs(err)
+        if not math.isfinite(size.sum()):
+            raise ToleranceNotMet(
+                f"quadrature error estimate is not finite at tol {tol!r}")
+        done = size <= budget
+        total += float(np.sum(left[done] + right[done] + err[done]))
+        err_total += float(np.sum(size[done]))
+        keep = ~done
+        splits += int(np.count_nonzero(keep))
+        a = np.concatenate([a[keep], m[keep]])
+        b = np.concatenate([m[keep], b[keep]])
+        fa = np.concatenate([fa[keep], fm[keep]])
+        fb = np.concatenate([fm[keep], fb[keep]])
+        fm = np.concatenate([flm[keep], frm[keep]])
+        whole = np.concatenate([left[keep], right[keep]])
+        half = budget[keep] / 2.0
+        budget = np.concatenate([half, half])
+    raise ToleranceNotMet(
+        f"quadrature hit the {MAX_DEPTH}-split depth cap at tol {tol!r}")
+
+
+def _outcome(call, *args):
+    """A call's result, or the type and text of the error it raised."""
+    try:
+        return call(*args)
+    except (InputError, ToleranceNotMet) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_one_call_passes_match_the_two_call_passes_bit_for_bit(monkeypatch):
+    # ell and ell_shoes on log-uniform points and tolerances, with the
+    # frozen passes swapped in for the second run of each case
+    rng = np.random.default_rng(2026)
+    cases = []
+    for i in range(320):
+        tol = float(10.0 ** rng.uniform(-14.0, -3.0))
+        if i % 2:
+            cases.append((ell, float(10.0 ** rng.uniform(-3.0, 3.0)), tol))
+        else:
+            cases.append((ell_shoes, *(10.0 ** rng.uniform(-3.0, 3.0, 2)).tolist(),
+                          tol))
+    cases += [(ell, 1.514, 1e-14), (ell_shoes, 1e-300, 2.0, 1e-12),
+              (ell, 1e-300, 1e-12), (ell_shoes, 1.5, 1.5, 1e-13)]
+    got = [_outcome(call, *args) for call, *args in cases]
+    monkeypatch.setattr(limit_laws, "_adaptive_simpson", _two_call_simpson)
+    want = [_outcome(call, *args) for call, *args in cases]
+    assert got == want
+    assert sum(isinstance(r, QuadratureResult) for r in got) >= 300
+
+
+def test_one_call_passes_refuse_as_the_two_call_passes_do():
+    def step(t):  # a jump no panel resolves to a tolerance this small
+        return (t > 1.0 / 3.0).astype(float)
+
+    def late_nan(t):  # finite on the ladder, not finite at a child midpoint
+        return np.where((t > 0.3) & (t < 0.33), np.nan, np.exp(-t))
+
+    def kink(t):  # resolved, after many splits around t = 1/3
+        return np.sqrt(np.abs(t - 1.0 / 3.0))
+
+    def flat(value):
+        return lambda t: np.full_like(t, value)
+
+    with np.errstate(invalid="ignore"):
+        for f, tol in ((step, 1e-300), (late_nan, 1e-12), (flat(np.nan), 1e-12),
+                       (flat(np.inf), 1e-12), (kink, 1e-9), (np.exp, 1e-12)):
+            got = _outcome(_adaptive_simpson, f, 12.0, tol, 1.0)
+            want = _outcome(_two_call_simpson, f, 12.0, tol, 1.0)
+            assert got == want, (f, tol)
+    calls = []  # the edges and midpoints, then one call a pass to the cap
+
+    def counted(t):
+        calls.append(t.size)
+        return step(t)
+
+    assert _outcome(_adaptive_simpson, counted, 12.0, 1e-300, 1.0)[1] \
+        .startswith("quadrature hit the")
+    assert len(calls) == 1 + MAX_DEPTH

@@ -21,8 +21,9 @@ import numpy as np
 
 from pairlaw import RngSeed, m2_simulate, validate
 from pairlaw import _parallel
-from pairlaw.dist_core import _alias_tables
+from pairlaw.dist_core import _alias_draw, _alias_select, _alias_tables
 from pairlaw.pair_laws import _walk_chunk
+from pairlaw.shoes import _walk_horizon, witness_family
 
 
 def _replay(sides, g, count, max_steps):
@@ -139,3 +140,65 @@ def test_block_fold_loses_no_update_under_thread_contention(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert many == one and many.trials == 2000
+
+
+def _bool_walk_chunk(tables, m, g, count, max_steps):
+    """_walk_chunk as it was with one flat bool seen array a side, frozen
+    as the oracle of the digit-coded kernel: it kept each absorbed walk's
+    flat offset and tallied the offsets modulo m."""
+    selects = [_alias_select(*t) for t in tables]
+    seen = [np.zeros(count * m, dtype=bool) for _ in tables]
+    u = np.empty(count)
+    rows = np.arange(0, count * m, m)
+    absorbed = np.empty(count, dtype=np.int64)
+    for step in range(max_steps):
+        if rows.size == 0:
+            break
+        side = step % len(tables)
+        at = _alias_draw(*tables[side], g, rows.size, selects[side], u)
+        at += rows
+        hit = seen[side - 1].take(at)
+        seen[side][at] = True
+        done = hit.nonzero()[0]
+        if done.size:
+            gone = count - rows.size
+            at.take(done, out=absorbed[gone:gone + done.size], mode="wrap")
+            rows = rows.take(np.logical_not(hit, out=hit).nonzero()[0])
+    tally = absorbed[:count - rows.size]
+    tally %= m
+    return np.bincount(tally, minlength=m), int(rows.size)
+
+
+def _grouped(rng, m):
+    """A source whose colors share two or three masses, in shuffled order."""
+    classes = rng.exponential(size=int(rng.integers(2, 4)))
+    p = classes[rng.integers(classes.size, size=m)]
+    return rng.permutation(p / p.sum())
+
+
+def test_digit_kernel_matches_the_bool_kernel_bit_for_bit():
+    # witness pairs at their own horizon, and grouped one- and two-side
+    # sources with horizons short enough to truncate some walks
+    rng = np.random.default_rng(20261020)
+    cases = []
+    for n in (16, 24, 64, 100, 256):
+        sp = witness_family(n)
+        cases.append(([sp.left.probs, sp.right.probs], 4000,
+                      _walk_horizon(sp, 4000)))
+    for _ in range(30):
+        m = int(rng.integers(2, 90))
+        k = int(rng.integers(1, 3))
+        cases.append(([_grouped(rng, m) for _ in range(k)],
+                      int(rng.integers(1, 3000)),
+                      int(rng.integers(1, k * (m + 1) + 3))))
+    truncating = 0
+    for case, (sides, count, horizon) in enumerate(cases):
+        tables = [_alias_tables(p) for p in sides]
+        m = len(sides[0])
+        got = _walk_chunk(tables, m, RngSeed(case).generator(), count, horizon)
+        want = _bool_walk_chunk(tables, m, RngSeed(case).generator(), count,
+                                horizon)
+        assert got[0].dtype == want[0].dtype
+        assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1]), case
+        truncating += 0 < got[1] < count
+    assert truncating >= 5
