@@ -17,10 +17,14 @@ T = TypeVar("T")
 
 THREADS_ENV = "PAIRLAW_THREADS"
 
+#: Most threads of one pool, which starts one for each block submitted
+#: while none is idle.
+MAX_THREADS = 64
+
 
 def effective_threads(threads: int | None) -> int:
     """Resolve a thread count: explicit argument, then the PAIRLAW_THREADS
-    environment variable, then the machine's CPU count."""
+    environment variable, then the CPU count; at most MAX_THREADS."""
     if threads is None:
         env = os.environ.get(THREADS_ENV, "").strip()
         if env:
@@ -30,7 +34,7 @@ def effective_threads(threads: int | None) -> int:
                 raise InputError(f"{THREADS_ENV}={env!r} is not an integer") from exc
         else:
             threads = os.cpu_count() or 1
-    return max(1, threads)
+    return min(max(1, threads), MAX_THREADS)
 
 
 #: Most rows per block, one seed stream each; never derived from the

@@ -25,8 +25,7 @@ from .errors import (ExcessTruncation, InputError, InternalFault,
                      ToleranceNotMet, UnimodalityError)
 from .family_opt import family_argmax, figure_family_curves, simplex_search
 from .limit_laws import (DEFAULT_TOL, _check_tol, ell, ell_argmax, ell_shoes,
-                         ell_shoes_diag_argmax, ell_shoes_diag_value,
-                         ell_shoes_value, ell_value)
+                         ell_shoes_diag_argmax, ell_shoes_value, ell_value)
 from .pair_laws import derive_m1, derive_m2, tvd
 from .shoes import (SHOES_EXACT_MAX_COLORS, ShoePair, shoes_m1,
                     shoes_m2_exact, shoes_m2_simulate, sup_one_demo)
@@ -239,7 +238,7 @@ def cmd_limit(args: argparse.Namespace) -> OutputEnvelope:
     flags, point, value, argmax = {
         "socks": (("c",), ell, ell_value, ell_argmax),
         "shoes-diag": (("a",), lambda a, tol: ell_shoes(a, a, tol),
-                       ell_shoes_diag_value, ell_shoes_diag_argmax),
+                       lambda a: ell_shoes_value(a, a), ell_shoes_diag_argmax),
         "shoes-grid": (("a", "b"), ell_shoes, ell_shoes_value, None),
     }[args.kind]
     given = [name for name in ("c", "a", "b") if getattr(args, name) is not None]
@@ -293,26 +292,24 @@ def cmd_shoes_derive(args: argparse.Namespace) -> OutputEnvelope:
     params = {"left": list(sp.left.probs), "right": list(sp.right.probs)}
     columns = ["quantity", "color", "value", "error"]
     m1_law = shoes_m1(sp)
-    rows: list[list] = [["m1", i, v, 0.0] for i, v in enumerate(m1_law.probs)]
     if args.exact or len(sp) <= SHOES_EXACT_MAX_COLORS:
         params["mode"] = "exact"
         seed = None
         m2_law = shoes_m2_exact(sp)
-        rows += [["m2", i, v, 0.0] for i, v in enumerate(m2_law.probs)]
-        distance, error = tvd(m1_law, m2_law), 0.0
+        probs, errors = m2_law.probs, [0.0] * len(sp)
         diagnostics = {"path": "exact"}
     else:
         params["mode"] = "simulate"
         params["trials"] = args.trials
         seed = args.seed
-        report = shoes_m2_simulate(sp, args.trials, RngSeed(args.seed),
+        m2_law = shoes_m2_simulate(sp, args.trials, RngSeed(args.seed),
                                    threads=args.threads)
-        rows += [["m2", i, v, s] for i, (v, s) in
-                 enumerate(zip(report.estimated_probs, report.std_errors))]
-        distance = tvd(m1_law, report)
-        error = 0.5 * math.sqrt(math.fsum(s * s for s in report.std_errors))
-        diagnostics = {"path": "simulated", "truncated": report.truncated}
-    rows.append(["discrepancy", None, distance, error])
+        probs, errors = m2_law.estimated_probs, m2_law.std_errors
+        diagnostics = {"path": "simulated", "truncated": m2_law.truncated}
+    rows = [["m1", i, v, 0.0] for i, v in enumerate(m1_law.probs)]
+    rows += [["m2", i, v, s] for i, (v, s) in enumerate(zip(probs, errors))]
+    rows.append(["discrepancy", None, tvd(m1_law, m2_law),
+                 0.5 * math.sqrt(math.fsum(s * s for s in errors))])
     return _envelope("shoes derive", params, columns, rows, seed=seed,
                      diagnostics=diagnostics)
 

@@ -277,16 +277,10 @@ def _ell_shoes_closed(a: float, b: float) -> float:
     Since x S(x) = 1 - I_1(x / sqrt 2), this is
     I_1(a') + I_1(b') - I_1(a' + b') - 1 / (1 + a b) with x' = x / sqrt 2.
     """
-    return (_mills_moments(a * _SQRT_HALF)[1] + _mills_moments(b * _SQRT_HALF)[1]
-            - _mills_moments((a + b) * _SQRT_HALF)[1] - 1.0 / (1.0 + a * b))
-
-
-def _ell_shoes_diag(a: float) -> float:
-    """_ell_shoes_closed(a, a), bit for bit, with I_1(a / sqrt 2) taken
-    once."""
-    i1 = _mills_moments(a * _SQRT_HALF)[1]
-    return (i1 + i1 - _mills_moments((a + a) * _SQRT_HALF)[1]
-            - 1.0 / (1.0 + a * a))
+    ia = _mills_moments(a * _SQRT_HALF)[1]
+    ib = ia if b == a else _mills_moments(b * _SQRT_HALF)[1]
+    return (ia + ib - _mills_moments((a + b) * _SQRT_HALF)[1]
+            - 1.0 / (1.0 + a * b))
 
 
 def ell_value(c: float) -> float:
@@ -303,13 +297,6 @@ def ell_shoes_value(a: float, b: float) -> float:
     (a, b) in [1e-6, 1e6]^2, the range that was checked."""
     _check_ab(a, b)
     return _ell_shoes_closed(a, b)
-
-
-def ell_shoes_diag_value(a: float) -> float:
-    """ell(a, a) from its closed form, bit for bit ell_shoes_value(a, a),
-    after the same check, with I_1(a / sqrt 2) taken once."""
-    _check_ab(a, a)
-    return _ell_shoes_diag(a)
 
 
 def _ell_shoes_diag_slope(a: float) -> float:
@@ -332,7 +319,8 @@ def ell_shoes_diag_argmax() -> OptResult:
     """Maximum of the alternating-pairs surface along its diagonal a = b:
     the root of its closed-form slope."""
     return OptResult(*maximize_scalar(
-        _ell_shoes_diag, lambda xs: [_ell_shoes_diag(a) for a in xs.tolist()],
+        lambda a: _ell_shoes_closed(a, a),
+        lambda xs: [_ell_shoes_closed(a, a) for a in xs.tolist()],
         _ell_shoes_diag_slope, 0.0, SEARCH_HI, ARGMAX_GRID))
 
 

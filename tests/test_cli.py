@@ -16,6 +16,7 @@ import pairlaw.cli as cli
 import pairlaw.limit_laws as limit_laws
 import pairlaw.pair_laws as pair_laws
 import pairlaw.shoes as shoes
+from pairlaw import _parallel
 from pairlaw import (ToleranceNotMet, UnimodalityError, convergence_check, ell,
                      ell_shoes, ell_shoes_value)
 from pairlaw.limit_laws import _ell_closed
@@ -553,6 +554,39 @@ def test_search_output_and_thread_invariance(capsys):
     _, other_seed, _ = run(capsys, "search", "--m", "3", "--points", "30000",
                            "--seed", "6", "--threads", "1")
     assert other_seed != first
+
+
+def test_worker_pool_is_capped(monkeypatch, capsys):
+    # a pool starts a thread per block submitted while none is idle; a stub
+    # pool records the count it is given and runs the blocks inline
+    built = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", InlinePool)
+    blocks = [(i,) for i in range(100)]
+    assert _parallel.map_ordered(lambda i: i * i, blocks, threads=10 ** 6) \
+        == [i * i for i in range(100)]
+    assert built == [_parallel.MAX_THREADS]
+    monkeypatch.setenv(_parallel.THREADS_ENV, str(10 ** 6))
+    assert _parallel.effective_threads(None) == _parallel.MAX_THREADS
+    built.clear()
+    _, one, _ = run(capsys, "search", "--m", "3", "--points", "50",
+                    "--threads", "1")
+    code, many, _ = run(capsys, "search", "--m", "3", "--points", "50",
+                        "--threads", "1000000")
+    assert (code, many, built) == (0, one, [])
 
 
 def test_search_seed_lands_in_provenance(capsys):

@@ -169,6 +169,30 @@ def test_closed_form_huge_tail_count():
     assert 0.18 < v < 0.19
 
 
+#: n: (D at x = 1.514 / sqrt(n), bound on the series' error there).  D is
+#: a 50-digit quadrature of the series' Poisson integral:
+#:     mp.mp.dps = 50
+#:     x = mp.mpf(1.514 / math.sqrt(n)); q = (1 - x) / n; s = mp.sqrt(n)
+#:     S = mp.quad(lambda t: t * mp.exp(n * mp.log1p(q * t) - t),
+#:                 [0, s, 4 * s, 16 * s, 64 * s, mp.inf])
+#:     D = x**2 / (x**2 + (1 - x)**2 / n) - x**2 * S
+#: The series read 4.5e-15, 5.0e-14, -4.4e-13, 2.2e-12 and 1.8e-11 off:
+#: its error grows about as n^0.45, and each bound is 2 to 3 times it.
+SERIES_REFERENCE = {
+    10 ** 4: (0.18132662929517250047, 1e-14),
+    10 ** 6: (0.18301490874181462193, 1.5e-13),
+    10 ** 9: (0.18319421476505249344, 1e-12),
+    10 ** 10: (0.18319821327211173839, 5e-12),
+    10 ** 12: (0.18319987749490182707, 5e-11),
+}
+
+
+def test_series_against_its_poisson_integral_past_a_million_colors():
+    for n, (want, bound) in SERIES_REFERENCE.items():
+        got = family_discrepancy(FamilyPoint(n, 1.514 / math.sqrt(n)))
+        assert abs(got - want) < bound, n
+
+
 def test_argmax_against_reference_table():
     for n in range(1, 10):
         r = family_argmax(n)

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 import pairlaw.limit_laws as limit_laws
-from pairlaw import (DomainError, InputError, NonPositiveC, NonPositiveParameter,
-                     QuadratureResult, ToleranceNotMet, convergence_check, ell,
-                     ell_argmax, ell_shoes, ell_shoes_diag_argmax)
+from pairlaw import (DomainError, FamilyPoint, InputError, NonPositiveC,
+                     NonPositiveParameter, QuadratureResult, ToleranceNotMet,
+                     convergence_check, ell, ell_argmax, ell_shoes,
+                     ell_shoes_diag_argmax, family_discrepancy)
 from pairlaw.family_opt import OptResult
 from pairlaw.limit_laws import (_MILLS_TERMS, ARGMAX_GRID, MAX_DEPTH,
                                 MILLS_SWITCH,
                                 SEARCH_HI, _adaptive_simpson, _ell_closed,
-                                _ell_shoes_closed, _ell_shoes_diag,
+                                _SQRT_HALF, _ell_shoes_closed,
                                 _ell_shoes_diag_slope, _ell_slope,
-                                _mills_ratios, ell_shoes_diag_value,
+                                _mills_moments, _mills_ratios,
                                 ell_shoes_value, ell_value)
 
 ELL_MAX_C = 1.5139940757525916
@@ -266,19 +267,27 @@ def test_mills_table_holds_every_term_from_the_switch():
                                  range(len(_MILLS_TERMS), 0, -1))
 
 
+def _two_evaluation_diagonal(a):
+    # the closed surface at (a, a) as it stood before the diagonal took
+    # I_1(a / sqrt 2) once: the oracle the shared form must match
+    return (_mills_moments(a * _SQRT_HALF)[1] + _mills_moments(a * _SQRT_HALF)[1]
+            - _mills_moments((a + a) * _SQRT_HALF)[1] - 1.0 / (1.0 + a * a))
+
+
 def test_diagonal_matches_the_surface_bit_for_bit():
     # the diagonal argmax's scan grid, and the ticks of the default
     # shoes-diag curve (--lo 0.1 --hi 10 --points 64) and a finer one
     grid = SEARCH_HI * (np.arange(ARGMAX_GRID) + 0.5) / ARGMAX_GRID
     ticks = [0.1 + (10.0 - 0.1) * i / (points - 1)
              for points in (64, 10 ** 4) for i in range(points)]
-    for a in grid.tolist() + ticks + [0.3, 1.0, 1.562239440914718, 1e6]:
-        assert _ell_shoes_diag(a).hex() == _ell_shoes_closed(a, a).hex(), a
-    for a in ticks + [1e-300, 1e150]:
-        assert ell_shoes_diag_value(a).hex() == ell_shoes_value(a, a).hex(), a
+    for a in grid.tolist() + ticks + [0.3, 1.0, 1.562239440914718, 1e6,
+                                      1e-300, 1e150]:
+        want = _two_evaluation_diagonal(a).hex()
+        assert _ell_shoes_closed(a, a).hex() == want, a
+        assert ell_shoes_value(a, a).hex() == want, a
     for a in (0.0, -1.0, math.nan, math.inf, 1e200):
         with pytest.raises(NonPositiveParameter):
-            ell_shoes_diag_value(a)
+            ell_shoes_value(a, a)
 
 
 def test_slopes_are_derivatives_of_the_closed_forms():
@@ -326,6 +335,24 @@ def test_convergence_frozen_values():
     assert abs(rows[0].gap - 2.0975952794106e-02) < 1e-10
     assert abs(rows[1].gap - 1.8734331109387e-03) < 1e-10
     assert abs(rows[2].gap - 1.8515366425143e-04) < 1e-10
+
+
+def test_family_gap_falls_at_the_rate_of_its_expansion():
+    # D_n(c / sqrt n) = ell(c) + kappa_1(c) / sqrt n + O(1 / n), with
+    # kappa_1 = 2c^3 / (1 + c^2)^2 - c^3 I_3(c) - (c^2 / 3) I_4(c) and
+    # I_4 = 3 I_2 - c I_3.  The O(1 / n) term's coefficient,
+    # (sqrt(n) gap - kappa_1) sqrt(n), reads -0.2427 +- 0.0003 from n = 10^4
+    # to 10^8 at c = 1.514; a wrong kappa_1 would drift it by sqrt(n).
+    c = 1.514
+    _, _, i2, i3 = _mills_moments(c)
+    kappa1 = (2.0 * c ** 3 / (1.0 + c * c) ** 2 - c ** 3 * i3
+              - c * c / 3.0 * (3.0 * i2 - c * i3))
+    assert abs(kappa1 + 0.18491097441309) < 1e-13
+    limit = ell_value(c)
+    for n in (10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7, 10 ** 8):
+        root = math.sqrt(n)
+        scaled = root * (family_discrepancy(FamilyPoint(n, c / root)) - limit)
+        assert -0.3 < (scaled - kappa1) * root < -0.2, n
 
 
 def test_convergence_domain_checks():

@@ -57,6 +57,19 @@ def test_exact_chain_uniform_is_uniform():
     assert shoes_discrepancy(sp).value < 1e-14
 
 
+def test_two_color_laws_agree_where_q_is_proportional_to_p_to_the_minus_2():
+    # the exact law's numerator has the factor 2x^2y - x^2 - 2xy + 2x + y - 1,
+    # zero at y = (1 - x)^2 / (x^2 + (1 - x)^2); found by factoring it and
+    # checked here in floats, not proved
+    for x in (0.05, 0.2, 0.3, 0.45, 0.5, 0.6, 0.77, 0.9, 0.99):
+        y = (1 - x) ** 2 / (x * x + (1 - x) ** 2)
+        on = ShoePair(validate([x, 1 - x]), validate([y, 1 - y]))
+        assert shoes_discrepancy(on).value <= 1e-15, x
+        if x != 0.5:
+            off = ShoePair(validate([x, 1 - x]), validate([0.5, 0.5]))
+            assert shoes_discrepancy(off).value > 1e-3, x
+
+
 def test_single_shared_color_takes_all_the_mass():
     sp = ShoePair(validate([0.5, 0.5, 0.0]), validate([0.0, 0.5, 0.5]))
     assert shoes_m2_exact(sp).probs == (0.0, 1.0, 0.0)
