@@ -96,55 +96,40 @@ def _encode(separator: str):
     return json.JSONEncoder(separators=(separator, ": ")).encode
 
 
-def _key(key) -> str:
-    """A dict key as the encoder writes one: a str escaped as a string,
-    any other scalar as its token in quotes."""
-    if type(key) is str:
-        return encode_basestring_ascii(key)
-    return json.dumps({key: 0})[1:-4]
-
-
 def _json(value, depth: int = 0) -> str:
-    """The text json.dumps(value, indent=2) gives for a value nested
-    `depth` levels deep, with no copy of the value and with the C encoder
-    writing the tokens, which it does only without an indent.
+    """The text json.dumps(value, indent=2) gives for a part of an
+    envelope nested `depth` levels deep, with no copy of the value and
+    with the C encoder writing the tokens, which it does only without an
+    indent.  The parts are scalars, lists and dicts of scalars, dicts with
+    str keys, and tables: lists of nonempty lists of scalars.
 
-    A flat list or dict (scalar items) is one C call whose item separator
-    carries the newline and the indent.  A table of flat rows is one C
-    call too, its separator indented as for the cells; the rows part at
-    "],<newline><indent>[", which only a row boundary can spell, since a
-    JSON string never holds a raw newline, so one replace re-wraps the
-    rows unless some row is empty.  Anything else is walked item by item.
+    A flat list or dict is one C call whose item separator carries the
+    newline and the indent.  A table is one C call too, its separator
+    indented as for the cells; the rows part at "],<newline><indent>[",
+    which only a row boundary can spell, since a JSON string never holds
+    a raw newline, so one replace re-wraps the rows.  Any other dict is
+    walked item by item.
     """
-    if isinstance(value, dict):
-        items, brackets = value.values(), "{}"
-    elif isinstance(value, (list, tuple)):
-        items, brackets = value, "[]"
-    else:
+    if not isinstance(value, (dict, list)):
         return json.dumps(value)
     if not value:
-        return brackets
+        return "{}" if isinstance(value, dict) else "[]"
     outer = "\n" + "  " * depth
     inner = outer + "  "
+    items = value.values() if isinstance(value, dict) else value
     if set(map(type, items)) <= _SCALARS:
-        body = _encode("," + inner)(value)[1:-1]
-    elif brackets == "[]" and set(map(type, value)) <= {list, tuple} and \
-            {type(cell) for row in value for cell in row} <= _SCALARS:
-        cell = inner + "  "
-        rows = _encode("," + cell)(value)[2:-2]
-        if all(value):
-            body = (f"[{cell}" + rows.replace(f"],{cell}[",
-                                              f"{inner}],{inner}[{cell}")
-                    + f"{inner}]")
-        else:
-            body = ("," + inner).join(f"[{cell}{row}{inner}]" if row else "[]"
-                                      for row in rows.split(f"],{cell}["))
-    elif brackets == "{}":
-        body = ("," + inner).join(f"{_key(key)}: {_json(item, depth + 1)}"
-                                  for key, item in value.items())
-    else:
-        body = ("," + inner).join(_json(item, depth + 1) for item in value)
-    return brackets[0] + inner + body + outer + brackets[1]
+        text = _encode("," + inner)(value)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if isinstance(value, dict):
+        body = ("," + inner).join(
+            f"{encode_basestring_ascii(key)}: {_json(item, depth + 1)}"
+            for key, item in value.items())
+        return "{" + inner + body + outer + "}"
+    cell = inner + "  "
+    rows = _encode("," + cell)(value)[2:-2]
+    return (f"[{inner}[{cell}"
+            + rows.replace(f"],{cell}[", f"{inner}],{inner}[{cell}")
+            + f"{inner}]{outer}]")
 
 
 def render(envelope: OutputEnvelope, fmt: str) -> str:

@@ -116,15 +116,6 @@ SORT_NETWORKS = (
 )
 
 
-def _color_sums(Q: np.ndarray) -> np.ndarray:
-    """Q[0] + Q[1] + ... + Q[m-1], added left to right: the bits of the
-    row sums of Q.T up to COLUMN_MAX_COLORS colors."""
-    total = Q[0].copy()
-    for q in Q[1:]:
-        total += q
-    return total
-
-
 def _sort_colors(Q: np.ndarray) -> None:
     """Put each column of Q, of at most COLUMN_MAX_COLORS entries, in
     nonincreasing order in place: the SORT_NETWORKS pass of its size, one
@@ -144,7 +135,7 @@ def _sorted_simplex_rows(m: int, count: int, g: np.random.Generator) -> np.ndarr
     simplex (Dirichlet with all parameters 1); sorting folds each draw onto
     the nonincreasing chamber, where the density is again constant.  Up to
     COLUMN_MAX_COLORS colors the rows are the view Q.T of one (colors x
-    rows) array, normalized by _color_sums and ordered by _sort_colors,
+    rows) array, normalized by its color sum and ordered by _sort_colors,
     bit for bit the row sum and sort that wider rows take.
     """
     e = g.standard_exponential((count, m))
@@ -153,7 +144,7 @@ def _sorted_simplex_rows(m: int, count: int, g: np.random.Generator) -> np.ndarr
         e.sort(axis=1)
         return e[:, ::-1]
     Q = np.ascontiguousarray(e.T)
-    Q /= _color_sums(Q)
+    Q /= Q.sum(axis=0)
     _sort_colors(Q)
     return Q.T
 
@@ -198,24 +189,21 @@ def _alias_select(accept: np.ndarray,
     return thresholds, np.column_stack((alias, column)).ravel()
 
 
-def _alias_draw(accept: np.ndarray, alias: np.ndarray,
+def _alias_draw(thresholds: np.ndarray, picks: np.ndarray,
                 g: np.random.Generator, count: int,
-                select: tuple[np.ndarray, np.ndarray] | None = None,
-                u: np.ndarray | None = None) -> np.ndarray:
-    """count color indices in one vectorized pass, one uniform per draw.
+                u: np.ndarray) -> np.ndarray:
+    """count color indices in one vectorized pass, one uniform per draw,
+    from the _alias_select tables of a source.
 
     Uniform u in [0, m) picks column idx = floor(u) and keeps it when the
     fraction u - idx falls below accept[idx], else takes alias[idx]: one
-    gather of the _alias_select thresholds at idx and one of its picks at
-    2 * idx + keep.  A caller drawing many times passes those tables, and
-    a float buffer of at least count entries to draw the uniforms into.
-    idx stays below m: m times the largest uniform, 1 - 2^-53, rounds
-    below m for every color count.
+    gather of the thresholds at idx and one of the picks at
+    2 * idx + keep.  The uniforms are drawn into the float buffer u, of
+    at least count entries.  idx stays below m: m times the largest
+    uniform, 1 - 2^-53, rounds below m for every color count.
     """
-    thresholds, picks = (_alias_select(accept, alias) if select is None
-                         else select)
-    u = g.random(count) if u is None else g.random(out=u[:count])
-    u *= accept.size
+    u = g.random(out=u[:count])
+    u *= thresholds.size
     idx = u.astype(np.int64)
     keep = u < thresholds.take(idx)
     idx <<= 1

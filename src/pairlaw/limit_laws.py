@@ -27,7 +27,8 @@ import numpy as np
 from ._optim import maximize_scalar
 from .errors import (DomainError, NonPositiveC, NonPositiveParameter,
                      ToleranceNotMet)
-from .family_opt import FamilyPoint, OptResult, family_discrepancy
+from .family_opt import (SERIES_MAX_N, FamilyPoint, OptResult,
+                         family_discrepancy)
 
 DEFAULT_TOL = 1e-12
 #: Below this the Richardson error estimate is round-off, not truncation.
@@ -339,12 +340,18 @@ def convergence_check(c: float, n_list: Sequence[int]) -> list[ConvergenceRow]:
 
     The family point exists only when n exceeds both 1 / c^2 (head above
     the uniform floor) and c^2 (head mass below one); sizes outside that
-    range are domain errors, not silently skipped rows.
+    range are domain errors, not silently skipped rows, as are sizes that
+    are not finite and sizes at or past SERIES_MAX_N.
     """
     limit = ell_value(c)
     rows = []
     for n in n_list:
-        size = int(n)
+        try:
+            size = int(n)
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(f"size {n!r} is not a finite number") from exc
+        if size >= SERIES_MAX_N:
+            raise DomainError(f"n = {size} is past the family series' 2^53 cap")
         if size * c * c <= 1.0 or size <= c * c:
             raise DomainError(f"size {size} leaves the family domain for c = {c!r}")
         value = family_discrepancy(FamilyPoint(size, c / math.sqrt(size)))

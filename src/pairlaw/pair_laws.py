@@ -25,7 +25,7 @@ import numpy as np
 
 from ._parallel import _blocks, map_ordered
 from .dist_core import (COLUMN_MAX_COLORS, Distribution, _alias_draw,
-                        _alias_select, _alias_tables, _color_sums)
+                        _alias_select, _alias_tables)
 from .errors import (DomainError, ExcessTruncation, IndexMismatch,
                      InternalFault, ToleranceNotMet, TooManyColors)
 
@@ -320,18 +320,18 @@ def m2_oracle_exact(d: Distribution) -> PairLaw:
     return PairLaw(M2, tuple(_chain_law([d.as_array()]).tolist()))
 
 
-def _walk_chunk(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
-                g: np.random.Generator, count: int, max_steps: int,
-                selects: Sequence | None = None) -> tuple[np.ndarray, int]:
+def _walk_chunk(selects: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
+                g: np.random.Generator, count: int,
+                max_steps: int) -> tuple[np.ndarray, int]:
     """Absorption counts and truncation count for one chunk of walks.
 
-    Step s draws from side s % k, k = len(tables), with that side's alias
-    tables; all live walks are at the same step, so one draw serves the
-    batch.  Colors carry _chain_law's digits: 0 while unseen and s + 1
-    once seen on side s, and side s absorbs on digit (s - 1) % k + 1, a
-    repeat with one side and the other side's color with two.  A live
-    walk never holds a color on both sides, as the second sighting
-    absorbs, so one digit a color is enough.
+    Step s draws from side s % k, k = len(selects), with that side's
+    _alias_select tables; all live walks are at the same step, so one
+    draw serves the batch.  Colors carry _chain_law's digits: 0 while
+    unseen and s + 1 once seen on side s, and side s absorbs on digit
+    (s - 1) % k + 1, a repeat with one side and the other side's color
+    with two.  A live walk never holds a color on both sides, as the
+    second sighting absorbs, so one digit a color is enough.
 
     The digits are one flat count * m int8 array, walk w owning entries
     w * m .. w * m + m - 1, and the live walks are kept as their row
@@ -340,12 +340,9 @@ def _walk_chunk(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
     dropped: a dropped walk's row is never read again, so only the offsets
     are compacted, through index lists (nonzero, then take).  Absorbed
     walks leave their color in one buffer, tallied at the end, and the
-    uniforms of every step are drawn into another.  A caller running many
-    chunks passes each side's _alias_select tables, built once.
+    uniforms of every step are drawn into another.
     """
-    k = len(tables)
-    if selects is None:
-        selects = [_alias_select(*t) for t in tables]
+    k = len(selects)
     seen = np.zeros(count * m, dtype=np.int8)
     u = np.empty(count)
     at = np.empty(count, dtype=np.int64)
@@ -355,7 +352,7 @@ def _walk_chunk(tables: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
         if rows.size == 0:
             break
         side = step % k
-        color = _alias_draw(*tables[side], g, rows.size, selects[side], u)
+        color = _alias_draw(*selects[side], g, rows.size, u)
         spot = np.add(color, rows, out=at[:rows.size])
         hit = seen.take(spot) == (side - 1) % k + 1
         seen[spot] = side + 1
@@ -414,15 +411,13 @@ def _simulate(sides: Sequence[Sequence[float]], trials: int, seed,
         raise DomainError("trials must be at least 1")
     m = len(sides[0])
     plan = _walk_plan(trials, m)
-    tables = [_alias_tables(probs) for probs in sides]
-    selects = [_alias_select(*t) for t in tables]
+    selects = [_alias_select(*_alias_tables(p)) for p in sides]
     counts = np.zeros(m, dtype=np.int64)
     fold = threading.Lock()
 
     def run(block: int, count: int) -> int:
         block_counts, truncated = _walk_chunk(
-            tables, m, seed.stream(block).generator(), count, horizon,
-            selects)
+            selects, m, seed.stream(block).generator(), count, horizon)
         with fold:
             np.add(counts, block_counts, out=counts)
         return truncated
@@ -502,7 +497,7 @@ def draw_stats(d: Distribution) -> DrawStats:
 def _discrepancy_rows(P: np.ndarray) -> np.ndarray:
     """Discrepancy of each row; vectorized mirror of discrepancy().  Up to
     COLUMN_MAX_COLORS colors it runs on the color vectors of P.T, whose
-    _color_sums are the row sums' bits."""
+    sums over colors are the row sums' bits."""
     if P.shape[1] > COLUMN_MAX_COLORS:
         gap = P * P
         gap /= gap.sum(axis=1, keepdims=True)
@@ -510,6 +505,6 @@ def _discrepancy_rows(P: np.ndarray) -> np.ndarray:
         return 0.5 * np.abs(gap, out=gap).sum(axis=1)
     Q = np.ascontiguousarray(P.T)
     gap = Q * Q
-    gap /= _color_sums(gap)
+    gap /= gap.sum(axis=0)
     gap -= _m2_rows(Q.T).T
-    return 0.5 * _color_sums(np.abs(gap, out=gap))
+    return 0.5 * np.abs(gap, out=gap).sum(axis=0)

@@ -85,27 +85,21 @@ def shoes_m2_exact(sp: ShoePair) -> PairLaw:
                                          sp.right.as_array()]).tolist()))
 
 
-def _default_horizon(sp: ShoePair) -> int:
-    """Step cap with per-walk survival below HORIZON_SURVIVAL, by union
-    bound.
+def _walk_horizon(sp: ShoePair, trials: int) -> int:
+    """The step horizon of sp's walks: a step cap with per-walk survival
+    below HORIZON_SURVIVAL, by union bound.
 
     Take the color i maximizing s = min(p_i, q_i); s > 0 because the pair
     is valid.  Once both sides have drawn i, the walk has absorbed (the
     later of the two draws completes a pair, if nothing did earlier), and
     within 2k steps each side gets k draws, so P(still running) is at most
     2 (1 - s)^k.  A scale like 1 / f_2 alone would miss the coupon-wait of
-    pairs whose heavy colors sit on opposite sides.
+    pairs whose heavy colors sit on opposite sides.  A horizon past
+    MAX_HORIZON raises ExcessTruncation, unless trials is below one, which
+    _simulate refuses first, as for every simulation.
     """
     s = max(min(p, q) for p, q in zip(sp.left.probs, sp.right.probs))
-    k = math.ceil(math.log(2.0 / HORIZON_SURVIVAL) / s)
-    return 2 * k + 2
-
-
-def _walk_horizon(sp: ShoePair, trials: int) -> int:
-    """The step horizon of sp's walks, _default_horizon.  A horizon past
-    MAX_HORIZON raises ExcessTruncation, unless trials is below one, which
-    _simulate refuses first, as for every simulation."""
-    horizon = _default_horizon(sp)
+    horizon = 2 * math.ceil(math.log(2.0 / HORIZON_SURVIVAL) / s) + 2
     if horizon > MAX_HORIZON and trials >= 1:
         raise ExcessTruncation(f"default horizon of {horizon} steps "
                                f"is past the {MAX_HORIZON}-step cap")
@@ -189,16 +183,20 @@ def sup_one_demo(n_list: Sequence[int], trials: int, seed: RngSeed, *,
 
     Each size gets its own derived seed stream; values climb toward one as
     n grows, exhibiting the supremum (never attained at any finite size).
-    Every size's pair, horizon cap, color cap and block plan are checked
-    before the first walk, so a ladder that cannot run is refused at once.
+    Every size's color cap and block plan are checked before any pair is
+    built, as a pair of n + 1 colors is n + 1 Python floats, and every
+    pair's horizon cap before the first walk, so a ladder that cannot run
+    is refused at once.
     """
-    pairs = [witness_family(int(n)) for n in n_list]
+    sizes = [int(n) for n in n_list]
+    for n in sizes:
+        _walk_plan(trials, n + 1)
+    pairs = [witness_family(n) for n in sizes]
     for sp in pairs:
         _walk_horizon(sp, trials)
-        _walk_plan(trials, len(sp))
     rows = []
-    for j, (n, sp) in enumerate(zip(n_list, pairs)):
+    for j, (n, sp) in enumerate(zip(sizes, pairs)):
         est = shoes_discrepancy(sp, trials=trials, seed=seed.stream(j),
                                 threads=threads)
-        rows.append(TrendRow(int(n), est.value, est.error))
+        rows.append(TrendRow(n, est.value, est.error))
     return rows

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -13,10 +14,13 @@ import pytest
 
 import pairlaw
 import pairlaw.cli as cli
+import pairlaw.dist_core as dist_core
+import pairlaw.family_opt as family_opt
 import pairlaw.limit_laws as limit_laws
 import pairlaw.pair_laws as pair_laws
 import pairlaw.shoes as shoes
 from pairlaw import _parallel
+from pairlaw._optim import maximize_scalar
 from pairlaw import (ToleranceNotMet, UnimodalityError, convergence_check, ell,
                      ell_shoes, ell_shoes_value)
 from pairlaw.limit_laws import _ell_closed
@@ -165,6 +169,10 @@ def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
         # 10^7 + 1 colors, past the simulation's color cap: the walks ran
         # 43 s, and then building its laws raised MemoryError
         (["shoes", "sup-demo", "--n", "10000000", "--trials", "200"], {}),
+        # 10^9 + 1 and 10^400 + 1 colors: building the pair raised
+        # MemoryError, and 10^400 ** -0.25 OverflowError
+        (["shoes", "sup-demo", "--n", "1000000000", "--trials", "1"], {}),
+        (["shoes", "sup-demo", "--n", "1" + "0" * 400, "--trials", "1"], {}),
         # 8 points of 10^6 colors at 640 nodes, 5.1 * 10^9 cells, past the
         # search cap: one block, which ran 94 s
         (["search", "--m", "1000000", "--points", "8"], {}),
@@ -300,24 +308,18 @@ def _hand_made_envelopes():
     env = cli._envelope
     yield env("empty", {}, [], [])
     yield env("empty rows", {"dist": []}, ["a", "b"], [])
-    yield env("empty row", {"nested": {}}, ["a"], [[]])
     yield env("specials", {"x": None, "y": nan, "z": [inf, -inf, nan, None]},
               ["v"], [[nan], [inf], [-inf], [None], [True, False]])
     yield env("mixed", {"n": 3, "f": 3.0, "l": [1, 1.0, -0.0, 10**20, 1e300]},
               ["i", "f"], [[1, 1.0], [2, 2.5e-300], [0, -0.0]])
     yield env("ragged", {}, ["a", "b", "c"],
-              [[1], [], [1, 2, 3], [None, "x"], [], [4.5]],
+              [[1], [1, 2, 3], [None, "x"], [4.5]],
               diagnostics={"path": "x", "inner": {"deep": {"deeper": [1, 2]},
                                                   "empty": {}, "list": []}})
     yield env("one cell", {}, ["a"], [[7]], seed=3, tolerances={"tol": 1e-6})
     yield env("strings", {s: s for s in AWKWARD}, AWKWARD,
               [[s] for s in AWKWARD] + [AWKWARD, [AWKWARD[4], 1.0]],
               diagnostics={s: {s: [s]} for s in AWKWARD})
-    # nested containers, which no command prints, take the item-by-item walk
-    yield cli.OutputEnvelope("raw", {"t": (1, 2)},
-                             {"rows": [(1, [2, [3]]), [4, {"k": [5]}]]},
-                             {"diagnostics": {"mixed": [[1], 2, {"a": []}]},
-                              7: {None: [1.5]}})
 
 
 def test_render_matches_the_standard_encoder_byte_for_byte(monkeypatch):
@@ -650,7 +652,7 @@ def test_shoes_derive_exact_flag_beats_the_size_cutoff(capsys):
 
 
 def test_shoes_derive_truncation_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(shoes, "_default_horizon", lambda sp: 2)
+    monkeypatch.setattr(shoes, "_walk_horizon", lambda sp, trials: 2)
     left = ",".join(["0.0909090909090909"] * 10 + ["0.090909090909091"])
     code, _, err = run(capsys, "shoes", "derive", "--left", left,
                        "--right", left, "--trials", "10000")
@@ -804,3 +806,33 @@ def test_main_reads_sys_argv_without_an_argv(capsys, monkeypatch):
     assert cli.main() == 0
     assert capsys.readouterr().out == run(capsys, "derive", "--dist",
                                           "0.75,0.25")[1]
+
+
+def test_traced_arguments_keep_their_names_and_positions():
+    # benchmark/tracing.py counts each call's work from one argument, read
+    # by position, or by name when passed by keyword, and the optimizer's
+    # evaluations from element 3 of its result; a moved argument would
+    # zero a per-layer count without an error
+    pinned = [(pair_laws.derive_m2, 0, "d"), (shoes.shoes_m2_exact, 0, "sp"),
+              (pair_laws._discrepancy_rows, 0, "P"),
+              (dist_core._sorted_simplex_rows, 1, "count"),
+              (family_opt.simplex_search, 1, "points"),
+              (_parallel.map_ordered, 1, "args_list"),
+              (dist_core._alias_draw, 3, "count")]
+    for fn, index, name in pinned:
+        param = list(inspect.signature(fn).parameters.values())[index]
+        assert param.name == name, fn.__name__
+        assert param.kind is param.POSITIONAL_OR_KEYWORD, fn.__name__
+    calls = []
+
+    def value(x):
+        calls.append(x)
+        return -(x - 1.0) ** 2
+
+    def slope(x):
+        calls.append(x)
+        return -2.0 * (x - 1.0)
+
+    result = maximize_scalar(value, lambda xs: [value(x) for x in xs],
+                             slope, 0.0, 3.0, 16)
+    assert result[3] == len(calls) > 16

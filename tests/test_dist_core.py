@@ -187,8 +187,9 @@ def test_rng_generator_is_bit_deterministic():
 
 
 def _alias_draws(probs, seed, count):
-    accept, alias = _alias_tables(validate(probs).probs)
-    return _alias_draw(accept, alias, RngSeed(seed).generator(), count)
+    select = _alias_select(*_alias_tables(validate(probs).probs))
+    return _alias_draw(*select, RngSeed(seed).generator(), count,
+                       np.empty(count))
 
 
 def test_sampler_point_mass():
@@ -213,17 +214,11 @@ def test_sampler_reproducible_and_iterable():
     a = _alias_draws([0.5, 0.3, 0.2], 8, 500)
     b = _alias_draws([0.5, 0.3, 0.2], 8, 500)
     assert np.array_equal(a, b)
-    # one uniform per draw: a stream drawn in pieces is the same stream
-    accept, alias = _alias_tables((0.5, 0.3, 0.2))
-    g = RngSeed(8).generator()
-    pieces = [_alias_draw(accept, alias, g, n) for n in (1, 199, 300)]
-    assert np.concatenate(pieces).tolist() == a.tolist()
-    # the walks' form: select tables built once, uniforms drawn into one
-    # reused buffer
-    g = RngSeed(8).generator()
-    select, u = _alias_select(accept, alias), np.empty(300)
-    pieces = [_alias_draw(accept, alias, g, n, select, u)
-              for n in (1, 199, 300)]
+    # one uniform per draw: a stream drawn in pieces, into one reused
+    # buffer as the walks draw, is the same stream
+    select = _alias_select(*_alias_tables((0.5, 0.3, 0.2)))
+    g, u = RngSeed(8).generator(), np.empty(300)
+    pieces = [_alias_draw(*select, g, n, u) for n in (1, 199, 300)]
     assert np.concatenate(pieces).tolist() == a.tolist()
 
 
@@ -232,14 +227,22 @@ def test_sampler_never_draws_zero_probability_colors():
 
 
 class _Feed:
-    """Stands in for a generator: random(count) serves the given uniforms."""
+    """Stands in for a generator: random(out=buffer) serves the given
+    uniforms."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def random(self, count):
-        assert count == self.values.size
-        return self.values.copy()
+    def random(self, *, out):
+        assert out.size == self.values.size
+        out[...] = self.values
+        return out
+
+
+def _fed_draws(accept, alias, uniforms):
+    """_alias_draw of the given uniforms through the select tables."""
+    return _alias_draw(*_alias_select(accept, alias), _Feed(uniforms),
+                       len(uniforms), np.empty(len(uniforms)))
 
 
 def _where_draw(accept, alias, uniforms):
@@ -293,7 +296,7 @@ def test_alias_draw_edge_uniforms_match_the_branch_select():
         values, exact = _edge_uniforms(accept)
         on_threshold += exact
         values += rng.random(5000).tolist()
-        got = _alias_draw(accept, alias, _Feed(values), len(values))
+        got = _fed_draws(accept, alias, values)
         want = _where_draw(accept, alias, values)
         assert got.dtype == want.dtype and got.tolist() == want.tolist(), probs
         zero = np.flatnonzero(np.asarray(probs) == 0.0)
@@ -364,5 +367,5 @@ def test_alias_draw_threshold_goes_to_the_alias():
     accept, alias = _alias_tables((0.125, 0.375, 0.5))
     assert accept[0] == 0.375 and alias[0] != 0
     below = np.nextafter(0.125, 0.0)
-    got = _alias_draw(accept, alias, _Feed([0.125, below]), 2)
+    got = _fed_draws(accept, alias, [0.125, below])
     assert got.tolist() == [alias[0], 0]

@@ -14,8 +14,8 @@ from pairlaw import (THREE_COLOR_ARGMAX, THREE_COLOR_DOUBLED_MAX,
                      family_discrepancy, figure_family_curves, simplex_search,
                      solve_poly)
 from pairlaw import family_opt
-from pairlaw.dist_core import (COLUMN_MAX_COLORS, SORT_NETWORKS, _color_sums,
-                               _sort_colors, _sorted_simplex_rows)
+from pairlaw.dist_core import (COLUMN_MAX_COLORS, SORT_NETWORKS, _sort_colors,
+                               _sorted_simplex_rows)
 from pairlaw.family_opt import (ARGMAX_GRID, CURVE_EDGE, SEARCH_MAX_CELLS,
                                 FamilyCurveRow, OptResult, _family_rows,
                                 _family_slope)
@@ -361,7 +361,7 @@ def test_color_sums_and_networks_match_numpy_row_sums_and_sort():
         rows = rng.standard_exponential((4096, m)) ** rng.uniform(0.2, 5.0)
         rows[rng.random(rows.shape) < 0.1] = 0.5  # ties
         Q = np.ascontiguousarray(rows.T)
-        assert _color_sums(Q).tobytes() == rows.sum(axis=1).tobytes(), m
+        assert Q.sum(axis=0).tobytes() == rows.sum(axis=1).tobytes(), m
         # random columns with ties, and every 0-1 column (a comparator
         # network that orders these orders every input)
         binary = (np.arange(2 ** m)[None, :] >> np.arange(m)[:, None]) & 1
@@ -371,7 +371,8 @@ def test_color_sums_and_networks_match_numpy_row_sums_and_sort():
             assert Q.T.tobytes() == want, m
     # past COLUMN_MAX_COLORS numpy's row sum is pairwise, not left to right
     rows = rng.standard_exponential((4096, COLUMN_MAX_COLORS + 1))
-    assert not np.array_equal(_color_sums(rows.T), rows.sum(axis=1))
+    Q = np.ascontiguousarray(rows.T)
+    assert not np.array_equal(Q.sum(axis=0), rows.sum(axis=1))
 
 
 def test_color_vector_block_peaks_below_the_row_block():

@@ -362,6 +362,11 @@ def test_convergence_domain_checks():
         convergence_check(1.514, [1])  # n must exceed c^2
     with pytest.raises(DomainError):
         convergence_check(0.001, [100])  # n c^2 must exceed 1
+    # sizes that are not finite, or past the series cap before n c^2 is
+    # formed (10^400 c^2 overflows a float)
+    for n in (math.nan, math.inf, -math.inf, 10 ** 400, 2 ** 53):
+        with pytest.raises(DomainError):
+            convergence_check(1.5, [n])
 
 
 def _two_call_simpson(f, upper, tol, scale):

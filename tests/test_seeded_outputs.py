@@ -74,7 +74,7 @@ def test_shoes_runs_on_two_threads():
 
 
 def test_shoes_truncation_count_at_a_short_horizon(monkeypatch):
-    monkeypatch.setattr(shoes, "_default_horizon", lambda sp: 3)
+    monkeypatch.setattr(shoes, "_walk_horizon", lambda sp, trials: 3)
     with pytest.raises(ExcessTruncation,
                        match="^6229 of 10000 walks ran past 3 steps$"):
         shoes_m2_simulate(ASYM, 10_000, RngSeed(16))
@@ -124,7 +124,7 @@ def test_witness_family_run_on_shrunk_blocks():
 
 
 def test_witness_family_truncation_on_shrunk_blocks(monkeypatch):
-    monkeypatch.setattr(shoes, "_default_horizon", lambda sp: 300)
+    monkeypatch.setattr(shoes, "_walk_horizon", lambda sp, trials: 300)
     with pytest.raises(ExcessTruncation,
                        match="^635 of 7000 walks ran past 300 steps$"):
         shoes_m2_simulate(witness_family(10**4), 7_000, RngSeed(21),

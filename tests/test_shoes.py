@@ -11,7 +11,7 @@ from pairlaw import (DomainError, ExcessTruncation, IndexMismatch,
                      shoes_m2_simulate, shoes_match_probability, sup_one_demo,
                      tvd, validate, witness_family)
 from pairlaw import pair_laws, shoes
-from pairlaw.shoes import MAX_HORIZON, _default_horizon
+from pairlaw.shoes import MAX_HORIZON, _walk_horizon
 
 DIAG_SKEW = ShoePair(validate([0.75, 0.25]), validate([0.75, 0.25]))
 TRIPLE = validate([0.5, 0.3, 0.2])
@@ -141,7 +141,7 @@ def test_heavy_colors_on_opposite_sides_still_absorb():
 
 def test_excess_truncation_is_raised(monkeypatch):
     # two steps almost never complete a pair on this source
-    monkeypatch.setattr(shoes, "_default_horizon", lambda sp: 2)
+    monkeypatch.setattr(shoes, "_walk_horizon", lambda sp, trials: 2)
     with pytest.raises(ExcessTruncation):
         shoes_m2_simulate(DIAG_TRIPLE, 10_000, RngSeed(1))
 
@@ -160,7 +160,7 @@ def test_infeasible_default_horizon_is_refused_before_any_draw(monkeypatch):
     # mass n^(-2/3), with this two-color pair, so it gets the same horizon
     b = 1e7 ** (-2.0 / 3.0)
     near = ShoePair(validate([1.0, 0.0]), validate([b, 1.0 - b]))
-    assert _default_horizon(near) == 2_629_386 <= MAX_HORIZON
+    assert _walk_horizon(near, 1) == 2_629_386 <= MAX_HORIZON
 
 
 def test_simulation_determinism_and_thread_invariance():

@@ -87,9 +87,9 @@ def test_walk_chunk_matches_the_replay_on_fuzz():
         # a repeat is certain within m + 1 draws of one side, and within
         # 2m + 2 alternating draws once the supports overlap
         max_steps = int(rng.integers(1, len(sides) * (m + 1) + 3))
-        tables = [_alias_tables(p) for p in sides]
+        selects = [_alias_select(*_alias_tables(p)) for p in sides]
         got_counts, got_trunc = _walk_chunk(
-            tables, m, RngSeed(case).generator(), count, max_steps)
+            selects, m, RngSeed(case).generator(), count, max_steps)
         want_counts, want_trunc, steps = _replay(
             sides, RngSeed(case).generator(), count, max_steps)
         assert got_counts.tolist() == want_counts, (case, m, len(sides))
@@ -142,20 +142,19 @@ def test_block_fold_loses_no_update_under_thread_contention(monkeypatch):
     assert many == one and many.trials == 2000
 
 
-def _bool_walk_chunk(tables, m, g, count, max_steps):
+def _bool_walk_chunk(selects, m, g, count, max_steps):
     """_walk_chunk as it was with one flat bool seen array a side, frozen
     as the oracle of the digit-coded kernel: it kept each absorbed walk's
     flat offset and tallied the offsets modulo m."""
-    selects = [_alias_select(*t) for t in tables]
-    seen = [np.zeros(count * m, dtype=bool) for _ in tables]
+    seen = [np.zeros(count * m, dtype=bool) for _ in selects]
     u = np.empty(count)
     rows = np.arange(0, count * m, m)
     absorbed = np.empty(count, dtype=np.int64)
     for step in range(max_steps):
         if rows.size == 0:
             break
-        side = step % len(tables)
-        at = _alias_draw(*tables[side], g, rows.size, selects[side], u)
+        side = step % len(selects)
+        at = _alias_draw(*selects[side], g, rows.size, u)
         at += rows
         hit = seen[side - 1].take(at)
         seen[side][at] = True
@@ -193,10 +192,11 @@ def test_digit_kernel_matches_the_bool_kernel_bit_for_bit():
                       int(rng.integers(1, k * (m + 1) + 3))))
     truncating = 0
     for case, (sides, count, horizon) in enumerate(cases):
-        tables = [_alias_tables(p) for p in sides]
+        selects = [_alias_select(*_alias_tables(p)) for p in sides]
         m = len(sides[0])
-        got = _walk_chunk(tables, m, RngSeed(case).generator(), count, horizon)
-        want = _bool_walk_chunk(tables, m, RngSeed(case).generator(), count,
+        got = _walk_chunk(selects, m, RngSeed(case).generator(), count,
+                          horizon)
+        want = _bool_walk_chunk(selects, m, RngSeed(case).generator(), count,
                                 horizon)
         assert got[0].dtype == want[0].dtype
         assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1]), case
