@@ -64,24 +64,19 @@ def _envelope(command: str, parameters: dict, columns: list, rows: list,
     )
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    if value is None:
-        return ""
-    return str(value)
-
-
 def csv_from_results(results: dict) -> str:
-    """Render the results table of an envelope as CSV.
+    """Render the results table of an envelope as CSV: a float cell (a
+    numpy float64 too) to 12 significant digits, None as an empty cell,
+    anything else by str.
 
     Shared by the CSV emitter and by JSON consumers re-rendering, so the
     two routes are byte-identical by construction.  Cells never contain
     commas or quotes, so no quoting dialect is needed.
     """
     lines = [",".join(results["columns"])]
-    for row in results["rows"]:
-        lines.append(",".join(_csv_cell(v) for v in row))
+    lines += [",".join([format(v, ".12g") if isinstance(v, float)
+                        else "" if v is None else str(v) for v in row])
+              for row in results["rows"]]
     return "\n".join(lines) + "\n"
 
 
@@ -108,10 +103,18 @@ def _json(value, depth: int = 0) -> str:
     indented as for the cells; the rows part at "],<newline><indent>[",
     which only a row boundary can spell, since a JSON string never holds
     a raw newline, so one replace re-wraps the rows.  Any other dict is
-    walked item by item.
+    walked item by item, and its scalars are written here as the encoder
+    writes them, with no json.dumps call each.
     """
-    if not isinstance(value, (dict, list)):
-        return json.dumps(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        return (float.__repr__(value) if math.isfinite(value)
+                else "NaN" if value != value
+                else "Infinity" if value > 0 else "-Infinity")
+    if not isinstance(value, (dict, list)):  # int, bool or None
+        return ("null" if value is None else "true" if value is True
+                else "false" if value is False else int.__repr__(value))
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
     outer = "\n" + "  " * depth

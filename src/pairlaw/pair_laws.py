@@ -152,12 +152,14 @@ def _nodes_per_row(m: int) -> int:
     return m // 2 + 1 if m <= LAGUERRE_MAX_COLORS else _panels()[0].size
 
 
-def _poisson_sums(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both one-at-a-time sums of each row: with the draws embedded in a
+def _poisson_sums(P: np.ndarray,
+                  moment: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The one-at-a-time sums of each row: with the draws embedded in a
     rate-1 Poisson process and F(t) = prod_j (1 + p_j t),
-        sum_k k! e_k(p) = integral over t > 0 of e^{-t} F(t),
-        sum_k (k+1)! e_k(p without i) = integral of t e^{-t} F / (1 + p_i t),
-    the first per row, the second per (color, row) of a colors x rows block.
+        sum_k (k+1)! e_k(p without i) = integral of t e^{-t} F / (1 + p_i t)
+    per (color, row) of a colors x rows block, and, if `moment` is set
+    (zeros if not), sum_k k! e_k(p) = integral over t > 0 of e^{-t} F(t)
+    per row.
 
     Up to LAGUERRE_MAX_COLORS colors the floor(m/2) + 1 node
     Gauss-Laguerre rule has no error; above, 40 Gauss-Legendre panels on
@@ -202,8 +204,9 @@ def _poisson_sums(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             d *= x
         F = np.multiply.reduce(d, axis=1)
         F *= weights[start:start + group]
-        for f in F:  # not F.sum(axis=0), which may add pairwise
-            total += f
+        if moment:  # not F.sum(axis=0), which may add pairwise
+            for f in F:
+                total += f
         F *= t
         for a in np.divide(F[:, None], x, out=x):
             acc += a
@@ -228,14 +231,18 @@ def derive_m2(d: Distribution) -> PairLaw:
 
 @functools.lru_cache(maxsize=None)
 def _chain_states(k: int, m: int) -> list[tuple]:
-    """The (k + 1)^m digit-coded states of a k-side chain on m colors.
+    """The reachable digit-coded states of a k-side chain on m colors:
+    every seen set with one side; with two, as the right side draws after
+    every left draw, the states where both sides have seen a color, the
+    empty state and the m one-left states, 3^m - 2^(m+1) + m + 2 in all.
 
-    Per level, in index order: for each side s, which colors of each
-    state carry digit s + 1; each state's unseen colors in color order;
-    and for each side s the rank within the next level of the state that
-    marking each unseen color s + 1 reaches, as int32.  None depends on
-    the probabilities, so they are cached per (k, m), like _laguerre: at
-    the 20-color oracle cap the tables hold about 73 MB.
+    Per level, in index order: the marks, for each side s which colors of
+    each state carry digit s + 1, and with two sides which do not; each
+    state's unseen colors in color order; and for each side s the int32
+    rank within the next level of the state that marking each unseen
+    color s + 1 reaches, or the level's size if that is not reachable.
+    None depends on the probabilities, so they are cached per (k, m), like
+    _laguerre: at the 20-color oracle cap the tables hold about 73 MB.
     """
     digits = np.zeros((1, 0), dtype=np.int8)
     for _ in range(m):  # each color enters as the next, higher digit
@@ -246,7 +253,14 @@ def _chain_states(k: int, m: int) -> list[tuple]:
     order = np.argsort(seen, kind="stable")
     rank = np.empty_like(order)
     members = np.split(order, np.cumsum(np.bincount(seen))[:-1])
-    for states in members:
+    if k == 2:  # a right color needs a left one, else one is seen at most
+        right = (digits == 2).any(axis=1)
+        reachable = np.where(right, (digits == 1).any(axis=1), seen < 2)
+    for level, states in enumerate(members):
+        if k == 2:  # unreachable states rank as the spare bin
+            kept = reachable[states]
+            rank[states] = np.count_nonzero(kept)
+            states = members[level] = states[kept]
         rank[states] = np.arange(states.size)
     place = (k + 1) ** np.arange(m)
     levels = []
@@ -258,6 +272,8 @@ def _chain_states(k: int, m: int) -> list[tuple]:
         successors = np.stack([rank[states[:, None] + (s + 1) * marked]
                                for s in range(k)])
         marks = np.stack([coded == s + 1 for s in range(k)])
+        if k == 2:  # and their complements, which the cycle's gap reads
+            marks = np.concatenate([marks, ~marks])
         levels.append((marks, unseen, successors.astype(np.int32)))
     return levels
 
@@ -279,9 +295,10 @@ def _chain_law(sides: Sequence[np.ndarray]) -> np.ndarray:
     off the right-seen set): nonnegative terms, so full relative precision
     however close alpha beta comes to one, and positive, as some color has
     mass on both sides.  Levels, counts of seen colors, are swept in order
-    over the states with positive inflow, which on a source with no zero
-    entry is every state.  Exponential in m by design: it shares no code
-    with the Poisson quadrature or the walks it checks.
+    over the reachable states with inflow (all of them on a source with no
+    zero entry); the zero flow to an unreachable state lands in a spare
+    bin.  Exponential in m by design: it shares no code with the Poisson
+    quadrature or the walks it checks.
     """
     k, m = len(sides), sides[0].size
     levels = _chain_states(k, m)
@@ -297,18 +314,19 @@ def _chain_law(sides: Sequence[np.ndarray]) -> np.ndarray:
             occupancy = inflow
         else:
             p, q = sides
-            left, right = marks
+            left, right, off_left, off_right = marks
             alpha, beta = left @ p, right @ q
-            gap = ~left @ p + alpha * (~right @ q)
+            gap = off_left @ p + alpha * (off_right @ q)
             u = (inflow[0] + beta * inflow[1]) / gap
             occupancy = u, inflow[1] + alpha * u
-        ahead = np.zeros((k, len(levels[level + 1][1]) if level < m else 0))
+        width = len(levels[level + 1][1]) + 1 if level < m else 1
+        ahead = np.empty((k, width))
         for s, (probs, u) in enumerate(zip(sides, occupancy)):
-            absorb += u @ marks[s - 1] * probs
+            absorb += u @ marks[(s - 1) % k] * probs
             flow = u[:, None] * probs.take(unseen)
-            ahead[(s + 1) % k] += np.bincount(successors[s].ravel(),
-                                              flow.ravel(), ahead.shape[1])
-        inflow = ahead
+            ahead[(s + 1) % k] = np.bincount(successors[s].ravel(),
+                                             flow.ravel(), width)
+        inflow = ahead[:, :-1]
     return absorb
 
 
@@ -489,7 +507,8 @@ def draw_stats(d: Distribution) -> DrawStats:
     rounds are geometric with success f_2.
     """
     return DrawStats(
-        expected_draws_m2=float(_poisson_sums(d.as_array()[None, :])[1][0]),
+        expected_draws_m2=float(
+            _poisson_sums(d.as_array()[None, :], moment=True)[1][0]),
         expected_pairs_m1=1.0 / match_probability(d),
     )
 

@@ -1,5 +1,6 @@
 """The exact chain kernel behind m2_oracle_exact and shoes_m2_exact."""
 
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -216,11 +217,12 @@ def _rank_chain_law(sides):
 
 
 def test_cached_successor_ranks_keep_the_law_bit_for_bit():
-    # one side at 1..12 colors and two at 1..8, dense sources (no zero
-    # entry, so no level is filtered) and sparse ones
+    # one side at 1..12 colors and two at 1..10, dense sources (no zero
+    # entry, so every reachable state has inflow and no level is
+    # compressed) and sparse ones, which alone take the runtime compress
     rng = np.random.default_rng(95)
     compared = 0
-    for k, top in ((1, 12), (2, 8)):
+    for k, top in ((1, 12), (2, 10)):
         for m in range(1, top + 1):
             for sparse in (False, True) * 3:
                 make = _sparse_source if sparse else (
@@ -235,3 +237,74 @@ def test_cached_successor_ranks_keep_the_law_bit_for_bit():
                 compared += 1
     assert compared >= 110
 
+
+
+def _reachable_states(m):
+    """The two-side states a walk can reach, by a search over its moves:
+    (left seen, right seen, side to draw) from the empty state, left to
+    draw, where a draw of an unseen color marks it, and a repeat on the
+    drawer's own set passes the turn."""
+    start = (frozenset(), frozenset(), 0)
+    found, todo = {start}, [start]
+    while todo:
+        left, right, side = todo.pop()
+        own, other = (left, right) if side == 0 else (right, left)
+        for c in range(m):
+            if c in other:
+                continue  # absorbed
+            mine = own | {c}
+            nxt = (mine, right, 1) if side == 0 else (left, mine, 0)
+            if nxt not in found:
+                found.add(nxt)
+                todo.append(nxt)
+    return {(left, right) for left, right, _ in found}
+
+
+def test_tables_hold_only_the_reachable_states():
+    # two sides keep 3^m - 2^(m+1) + m + 2 states: both sides seen, the
+    # empty state and the m one-left states; one side keeps all 2^m
+    for m in range(1, 11):
+        levels = pair_laws._chain_states(2, m)
+        assert sum(len(unseen) for _, unseen, _ in levels) \
+            == 3 ** m - 2 ** (m + 1) + m + 2, m
+        for marks, unseen, _ in levels:
+            assert marks.shape == (4, len(unseen), m)
+            assert np.array_equal(marks[2:], ~marks[:2])
+        if m > 6:
+            continue
+        # every reachable state (once, by the count above), and each
+        # successor at its rank in the next level, or at the level's size
+        # if it is not reachable
+        kept = [[(frozenset(np.flatnonzero(left)),
+                  frozenset(np.flatnonzero(right)))
+                 for left, right in zip(marks[0], marks[1])]
+                for marks, _, _ in levels]
+        assert set().union(*kept) == _reachable_states(m), m
+        for level, (_, unseen, successors) in enumerate(levels[:-1]):
+            ahead = {state: rank for rank, state in enumerate(kept[level + 1])}
+            for i, (left, right) in enumerate(kept[level]):
+                for j, c in enumerate(unseen[i]):
+                    for s, nxt in enumerate([(left | {c}, right),
+                                             (left, right | {c})]):
+                        assert successors[s, i, j] == ahead.get(
+                            nxt, len(ahead)), (m, level, s)
+    for m in range(1, 17):
+        levels = pair_laws._chain_states(1, m)
+        assert [len(unseen) for _, unseen, _ in levels] == \
+            [math.comb(m, level) for level in range(m + 1)]
+        assert all(marks.shape[0] == 1 for marks, _, _ in levels)
+
+
+def test_one_side_tables_are_built_once():
+    # the 16-color tables (marks, unseen colors, int32 successor ranks)
+    # hold 2^16 * 16 * (1 + 1/2 + 2) bytes; building them takes about
+    # 2.3 times that at its peak, and a second copy would pass 2.5
+    tables = 2 ** 16 * 16 * 7 // 2
+    tracemalloc.start()
+    try:
+        levels = pair_laws._chain_states.__wrapped__(1, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(table.nbytes for level in levels for table in level) == tables
+    assert peak < 2.5 * tables, peak / tables

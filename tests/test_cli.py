@@ -317,9 +317,38 @@ def _hand_made_envelopes():
               diagnostics={"path": "x", "inner": {"deep": {"deeper": [1, 2]},
                                                   "empty": {}, "list": []}})
     yield env("one cell", {}, ["a"], [[7]], seed=3, tolerances={"tol": 1e-6})
+    yield env("scalars", {"t": True, "f": False, "inf": inf, "-inf": -inf,
+                          "big": -10**400, "tiny": 5e-324, "neg": -0.0,
+                          "s": "ø", "l": [True]}, [], [],
+              diagnostics={"nan": nan, "none": None, "one": 1.0, "n": 0,
+                           "d": {}})
     yield env("strings", {s: s for s in AWKWARD}, AWKWARD,
               [[s] for s in AWKWARD] + [AWKWARD, [AWKWARD[4], 1.0]],
               diagnostics={s: {s: [s]} for s in AWKWARD})
+
+
+def _csv_cell(value) -> str:
+    """The CSV writer's cell format as it was, one cell a call, frozen as
+    the oracle of rows formatted in one pass."""
+    if isinstance(value, float):
+        return format(value, ".12g")
+    if value is None:
+        return ""
+    return str(value)
+
+
+def test_csv_rows_format_cells_as_the_cell_writer_did():
+    cells = [np.float64(0.1), np.float64(-2.5e-300), np.float64("nan"), 0.1,
+             1 / 3, -0.0, float("inf"), 1e16, True, False, np.bool_(True), 0,
+             -7, 10**20, np.int64(5), np.float32(0.1), None, "m1", "",
+             "discrepancy"]
+    rows = [cells, cells[::-1], [], [None], [np.float64(1.0)]]
+    columns = ["quantity", "color", "value"]
+    want = "\n".join([",".join(columns)] + [
+        ",".join(_csv_cell(v) for v in row) for row in rows]) + "\n"
+    assert cli.csv_from_results({"columns": columns, "rows": rows}) == want
+    envelope = cli._envelope("derive", {}, columns, rows)
+    assert cli.render(envelope, "csv") == want
 
 
 def test_render_matches_the_standard_encoder_byte_for_byte(monkeypatch):
@@ -333,7 +362,11 @@ def test_render_matches_the_standard_encoder_byte_for_byte(monkeypatch):
     def python_encoder(*args, **kwargs):
         raise AssertionError("render reached the pure-Python encoder")
 
+    def dumps(*args, **kwargs):
+        raise AssertionError("render wrote a part through json.dumps")
+
     monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+    monkeypatch.setattr(json, "dumps", dumps)
     for envelope, text in zip(envelopes, want):
         assert cli.render(envelope, "json") == text, envelope.command
 

@@ -1,5 +1,6 @@
 """The two pair laws, their discrepancy, and the exact/simulated oracles."""
 
+import functools
 import math
 import tracemalloc
 
@@ -253,17 +254,19 @@ def test_laguerre_and_panel_rules_agree(monkeypatch):
     rng = np.random.default_rng(64)
     blocks = [rng.dirichlet(np.full(m, alpha), size=4)
               for m in (64, 100, 150, 200, 256) for alpha in (0.3, 1.0, 3.0)]
-    exact = [_poisson_sums(block) for block in blocks]
+    exact = [_poisson_sums(block, moment=True) for block in blocks]
     monkeypatch.setattr(pair_laws, "LAGUERRE_MAX_COLORS", 0)
     for block, (sums, totals) in zip(blocks, exact):
-        panel, panel_totals = _poisson_sums(block)
+        panel, panel_totals = _poisson_sums(block, moment=True)
+        assert totals.all() and panel_totals.all()
         assert np.all(np.abs(panel - sums) <= 1e-13 * sums)
         assert np.all(np.abs(panel_totals - totals) <= 1e-13 * totals)
 
 
 def test_node_groups_keep_every_bit(monkeypatch):
     # one node a pass, the default groups and nearly all nodes in one pass
-    # give the same bits, on both rules and at every block width
+    # give the same bits, on both rules and at every block width; a call
+    # that skips the moment keeps the bits of the leave-one-out sums
     rng = np.random.default_rng(41)
     blocks = [rng.dirichlet(np.full(m, alpha), size=rows)
               for m in (*range(2, 13), 255, 256, 257, 300)
@@ -271,11 +274,13 @@ def test_node_groups_keep_every_bit(monkeypatch):
     runs = []
     for budget in (1, pair_laws.NODE_GROUP_ENTRIES, 1 << 22):
         monkeypatch.setattr(pair_laws, "NODE_GROUP_ENTRIES", budget)
-        runs.append([_poisson_sums(block) for block in blocks])
+        runs.append([_poisson_sums(block, moment=True) for block in blocks])
     for block, *sums in zip(blocks, *runs):
+        assert sums[0][1].all(), block.shape
         for acc, total in sums[1:]:
             assert np.array_equal(acc, sums[0][0]), block.shape
             assert np.array_equal(total, sums[0][1]), block.shape
+        assert np.array_equal(_poisson_sums(block)[0], sums[0][0])
 
 
 def _node_loop(P):
@@ -300,7 +305,7 @@ def _node_loop(P):
 def test_node_groups_allocate_no_more_than_a_node_loop():
     P = np.random.default_rng(43).dirichlet(np.ones(12), size=100_000)
     peaks, results = [], []
-    for kernel in (_node_loop, _poisson_sums):
+    for kernel in (_node_loop, functools.partial(_poisson_sums, moment=True)):
         tracemalloc.start()
         results.append(kernel(P))
         peaks.append(tracemalloc.get_traced_memory()[1])
@@ -308,3 +313,16 @@ def test_node_groups_allocate_no_more_than_a_node_loop():
     assert peaks[1] <= peaks[0] + 8 * pair_laws.NODE_GROUP_ENTRIES, peaks
     for got, want in zip(*results):
         assert np.array_equal(got, want)
+
+
+def test_expected_draws_keep_the_bits_of_a_node_loop():
+    # draw_stats alone asks for the sum_k k! e_k moment; it must fold it
+    # node by node as the frozen one-node loop does
+    rng = np.random.default_rng(45)
+    sources = [rng.dirichlet(np.full(m, alpha))
+               for m in (*range(1, 13), 64, 250, 256) for alpha in (0.3, 2.0)]
+    for p in sources:
+        d = validate(p.tolist())
+        want = float(_node_loop(d.as_array()[None, :])[1][0])
+        assert draw_stats(d).expected_draws_m2 == want, len(p)
+        assert 1.0 < want < len(p) + 1.0 + 1e-12
