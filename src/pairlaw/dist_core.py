@@ -76,7 +76,10 @@ class Distribution:
         for v in self.probs:
             if not (v >= 0.0):  # catches NaN as well as negatives
                 raise NegativeEntry(f"entry {v!r} is not a nonnegative number")
-        total = math.fsum(self.probs)
+        try:
+            total = math.fsum(self.probs)
+        except OverflowError:  # a partial sum passed the float range
+            total = math.inf
         if abs(total - 1.0) > SUM_TOL:
             raise BadSum(f"entries sum to {total!r}, not 1 within {SUM_TOL}")
 

@@ -75,9 +75,12 @@ class FamilyPoint:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DomainError("family needs at least one tail color")
-        if not 1.0 / (self.n + 1) <= self.x < 1.0:
-            raise DomainError(
-                f"head mass {self.x!r} outside [{1.0 / (self.n + 1)!r}, 1)")
+        try:
+            lo = 1.0 / (self.n + 1)
+        except OverflowError:
+            raise DomainError("family size past the float range") from None
+        if not lo <= self.x < 1.0:
+            raise DomainError(f"head mass {self.x!r} outside [{lo!r}, 1)")
 
     def realize(self) -> Distribution:
         tail = (1.0 - self.x) / self.n

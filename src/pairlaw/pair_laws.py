@@ -232,49 +232,39 @@ def derive_m2(d: Distribution) -> PairLaw:
 @functools.lru_cache(maxsize=None)
 def _chain_states(k: int, m: int) -> list[tuple]:
     """The reachable digit-coded states of a k-side chain on m colors:
-    every seen set with one side; with two, as the right side draws after
-    every left draw, the states where both sides have seen a color, the
-    empty state and the m one-left states, 3^m - 2^(m+1) + m + 2 in all.
+    every seen set with one side; with two, the states where both sides
+    have seen a color, the empty state and the m one-left states,
+    3^m - 2^(m+1) + m + 2 in all.  Each level grows by the walk's moves,
+    side `level`'s alone on the first k; int32 codes rely on the callers' caps.
 
     Per level, in index order: the marks, for each side s which colors of
     each state carry digit s + 1, and with two sides which do not; each
     state's unseen colors in color order; and for each side s the int32
-    rank within the next level of the state that marking each unseen
-    color s + 1 reaches, or the level's size if that is not reachable.
-    None depends on the probabilities, so they are cached per (k, m), like
-    _laguerre: at the 20-color oracle cap the tables hold about 73 MB.
+    rank in the next level of the state that marking each unseen color
+    s + 1 reaches, or the level's size if no walk makes it.  Free of the
+    probabilities, it is cached per (k, m): 73 MB at the 20-color cap.
     """
-    digits = np.zeros((1, 0), dtype=np.int8)
-    for _ in range(m):  # each color enters as the next, higher digit
-        digits = np.concatenate([
-            np.column_stack((digits, np.full(len(digits), d, np.int8)))
-            for d in range(k + 1)])
-    seen = np.count_nonzero(digits, axis=1)
-    order = np.argsort(seen, kind="stable")
-    rank = np.empty_like(order)
-    members = np.split(order, np.cumsum(np.bincount(seen))[:-1])
-    if k == 2:  # a right color needs a left one, else one is seen at most
-        right = (digits == 2).any(axis=1)
-        reachable = np.where(right, (digits == 1).any(axis=1), seen < 2)
-    for level, states in enumerate(members):
-        if k == 2:  # unreachable states rank as the spare bin
-            kept = reachable[states]
-            rank[states] = np.count_nonzero(kept)
-            states = members[level] = states[kept]
-        rank[states] = np.arange(states.size)
-    place = (k + 1) ** np.arange(m)
+    digit = np.arange(1, k + 1, dtype=np.int32)[:, None, None]
+    place = (k + 1) ** np.arange(m, dtype=np.int32)
+    colors = np.arange(m, dtype=np.int8)
+    rank = np.empty((k + 1) ** m, dtype=np.int32)
+    codes = np.zeros(1, dtype=np.int32)
     levels = []
-    for level, states in enumerate(members):
-        coded = digits[states]
-        unseen = np.nonzero(coded == 0)[1].astype(np.int8)
-        unseen = unseen.reshape(states.size, m - level)
-        marked = place[unseen]
-        successors = np.stack([rank[states[:, None] + (s + 1) * marked]
-                               for s in range(k)])
-        marks = np.stack([coded == s + 1 for s in range(k)])
+    for level in range(m + 1):
+        marks = codes[:, None] // place % (k + 1) == digit
+        unseen = np.broadcast_to(colors, marks.shape[1:])[~marks.any(axis=0)]
+        unseen = unseen.reshape(codes.size, m - level)
+        moves = slice(level, level + 1) if level < k else slice(k)
+        ahead = codes[:, None] + digit[moves] * place[unseen]
+        reached = np.zeros((k + 1) ** m, dtype=bool)
+        reached[ahead] = True
+        codes = np.flatnonzero(reached).astype(np.int32)
+        rank[codes] = np.arange(codes.size)
+        successors = np.full((k,) + unseen.shape, codes.size, np.int32)
+        successors[moves] = rank[ahead]
         if k == 2:  # and their complements, which the cycle's gap reads
             marks = np.concatenate([marks, ~marks])
-        levels.append((marks, unseen, successors.astype(np.int32)))
+        levels.append((marks, unseen, successors))
     return levels
 
 

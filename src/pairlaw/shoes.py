@@ -15,6 +15,7 @@ pair, long enough that a walk outlives it with chance below 1e-12.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,8 +25,8 @@ from .errors import (DomainError, ExcessTruncation, IndexMismatch, InvalidPair,
 from .pair_laws import (M1, M2, PairLaw, SimReport, _chain_law, _simulate,
                         _walk_plan, tvd)
 
-#: The exact solve sweeps all (left seen, right seen) set pairs: 3^m of
-#: them, each with a two-state turn cycle.
+#: The exact solve sweeps the 3^m - 2^(m+1) + m + 2 (left seen, right
+#: seen) set pairs a walk reaches, each with a two-state turn cycle.
 SHOES_EXACT_MAX_COLORS = 10
 
 #: Per-walk survival probability the default horizon is engineered for;
@@ -77,8 +78,8 @@ def shoes_m1(sp: ShoePair) -> PairLaw:
 
 def shoes_m2_exact(sp: ShoePair) -> PairLaw:
     """Exact law of the first completed pair color under alternation: the
-    two-side case of _chain_law, over all 3^m (left seen, right seen) set
-    pairs, hence the cap."""
+    two-side case of _chain_law, over the 3^m - 2^(m+1) + m + 2 (left
+    seen, right seen) set pairs a walk reaches, hence the cap."""
     if len(sp) > SHOES_EXACT_MAX_COLORS:
         raise TooManyColors(f"exact solve capped at {SHOES_EXACT_MAX_COLORS} colors")
     return PairLaw(M2, tuple(_chain_law([sp.left.as_array(),
@@ -161,6 +162,8 @@ def witness_family(n: int) -> ShoePair:
     """
     if n < 16:
         raise NTooSmall("need n of at least 16 to keep both head masses small")
+    if n > sys.maxsize:  # n ** -0.25 overflows past the float range
+        raise DomainError("witness size past the largest tuple")
     a = n ** -0.25
     b = n ** (-2.0 / 3.0)
     left = Distribution((a,) + ((1.0 - a) / n,) * n)

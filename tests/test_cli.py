@@ -182,6 +182,11 @@ def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
         # and a false competing mode
         (["family", "--n", "10000000000000000"], {}),
         (["family", "--n", "100000000000000000000"], {}),
+        # entries whose sum passes the float range: fsum raised
+        # OverflowError, a traceback and exit 1
+        (["derive", "--dist", "1e308,1e308"], {}),
+        (["shoes", "derive", "--left", "1e308,1e308", "--right", "0.5,0.5"],
+         {}),
     ]
     for argv, code, out in _run_bounded(cases):
         assert (code, out) == (2, ""), argv

@@ -32,6 +32,11 @@ def test_validate_rejects_bad_input():
         validate([])
     with pytest.raises(NegativeEntry):
         validate([float("nan"), 1.0])
+    # a sum past the float range once raised OverflowError from fsum
+    with pytest.raises(BadSum):
+        validate([1e308, 1e308])
+    with pytest.raises(BadSum):
+        validate([1.0, float("inf")])
 
 
 def test_validate_sum_tolerance_boundary():

@@ -74,6 +74,10 @@ def test_family_point_domain():
         FamilyPoint(3, 1.0)
     with pytest.raises(DomainError):
         FamilyPoint(0, 0.5)
+    # an n + 1 past the float range once raised OverflowError
+    FamilyPoint(10 ** 300, 0.5)
+    with pytest.raises(DomainError):
+        FamilyPoint(10 ** 400, 0.5)
 
 
 def test_realize():

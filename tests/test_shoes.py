@@ -202,6 +202,9 @@ def test_side_swap_moves_m2_by_at_most_the_side_gap():
 def test_witness_family_shape():
     with pytest.raises(NTooSmall):
         witness_family(15)
+    # an n past the float range once raised OverflowError at n ** -0.25
+    with pytest.raises(DomainError):
+        witness_family(10 ** 400)
     w = witness_family(16)
     assert len(w) == 17
     assert abs(w.left.probs[0] - 0.5) < 1e-15  # 16^(-1/4)
