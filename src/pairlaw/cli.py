@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -36,32 +35,20 @@ EXIT_CODES = {InputError: 2, ToleranceNotMet: 3, UnimodalityError: 3,
               ExcessTruncation: 4, InternalFault: 5}
 
 
-@dataclass(frozen=True)
-class OutputEnvelope:
-    """Everything one invocation produced, in one machine-readable object."""
-
-    command: str
-    parameters: dict
-    results: dict
-    provenance: dict
-
-
 def _envelope(command: str, parameters: dict, columns: list, rows: list,
               seed: int | None = None, tolerances: dict | None = None,
-              diagnostics: dict | None = None) -> OutputEnvelope:
-    """The envelope of one table.  diagnostics says how the run got its
+              diagnostics: dict | None = None) -> dict:
+    """The envelope of one table: everything one invocation produced, in
+    one machine-readable object.  diagnostics says how the run got its
     results (which path ran, what it truncated); it lands in provenance
     only when given, so results and CSV never depend on it."""
     provenance = {"seed": seed, "tolerances": tolerances or {},
                   "version": __version__}
     if diagnostics is not None:
         provenance["diagnostics"] = diagnostics
-    return OutputEnvelope(
-        command=command,
-        parameters=parameters,
-        results={"columns": columns, "rows": rows},
-        provenance=provenance,
-    )
+    return {"command": command, "parameters": parameters,
+            "results": {"columns": columns, "rows": rows},
+            "provenance": provenance}
 
 
 def csv_from_results(results: dict) -> str:
@@ -135,11 +122,11 @@ def _json(value, depth: int = 0) -> str:
             + f"{inner}]{outer}]")
 
 
-def render(envelope: OutputEnvelope, fmt: str) -> str:
+def render(envelope: dict, fmt: str) -> str:
     """The envelope as indented JSON, or its results table as CSV."""
     if fmt == "json":
-        return _json(vars(envelope)) + "\n"
-    return csv_from_results(envelope.results)
+        return _json(envelope) + "\n"
+    return csv_from_results(envelope["results"])
 
 
 def _parse_list(text: str, kind=float) -> list:
@@ -165,7 +152,7 @@ def _parse_dist(inline: str | None, path: str | None) -> Distribution:
         raise InputError(f"unparsable probability file {path!r}") from exc
 
 
-def cmd_derive(args: argparse.Namespace) -> OutputEnvelope:
+def cmd_derive(args: argparse.Namespace) -> dict:
     d = _parse_dist(args.dist, args.dist_file)
     columns = ["quantity", "color", "value"]
     laws = []
@@ -181,7 +168,7 @@ def cmd_derive(args: argparse.Namespace) -> OutputEnvelope:
                      columns, rows)
 
 
-def cmd_family(args: argparse.Namespace) -> OutputEnvelope:
+def cmd_family(args: argparse.Namespace) -> dict:
     params = {"n": args.n, "action": args.action}
     if args.action == "max":
         opt = family_argmax(args.n)
@@ -216,7 +203,7 @@ def _ticks(args, dims: int) -> list[float]:
             for i in range(args.points)]
 
 
-def cmd_limit(args: argparse.Namespace) -> OutputEnvelope:
+def cmd_limit(args: argparse.Namespace) -> dict:
     """One limit surface: its value at the point its flags name, by
     quadrature with an error estimate; else its argmax or its table over
     the ticks, from the closed forms, whose only use of --tol is its floor
@@ -263,7 +250,7 @@ def cmd_limit(args: argparse.Namespace) -> OutputEnvelope:
                                   else "closed-form"})
 
 
-def cmd_search(args: argparse.Namespace) -> OutputEnvelope:
+def cmd_search(args: argparse.Namespace) -> dict:
     best, value, family_gap = simplex_search(
         args.m, args.points, RngSeed(args.seed), threads=args.threads)
     columns = ["quantity", "color", "value"]
@@ -274,7 +261,7 @@ def cmd_search(args: argparse.Namespace) -> OutputEnvelope:
                      columns, rows, seed=args.seed)
 
 
-def cmd_shoes_derive(args: argparse.Namespace) -> OutputEnvelope:
+def cmd_shoes_derive(args: argparse.Namespace) -> dict:
     sp = ShoePair(_parse_dist(args.left, args.left_file),
                   _parse_dist(args.right, args.right_file))
     params = {"left": list(sp.left.probs), "right": list(sp.right.probs)}
@@ -302,7 +289,7 @@ def cmd_shoes_derive(args: argparse.Namespace) -> OutputEnvelope:
                      diagnostics=diagnostics)
 
 
-def cmd_shoes_sup_demo(args: argparse.Namespace) -> OutputEnvelope:
+def cmd_shoes_sup_demo(args: argparse.Namespace) -> dict:
     sizes = _parse_list(args.n, int)
     rows = [[r.n, r.value, r.error]
             for r in sup_one_demo(sizes, args.trials, RngSeed(args.seed),
@@ -407,9 +394,12 @@ def build_parser(leaves: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-#: The full parser and its leaves, built on first use; parsing never
-#: mutates a parser, so repeat in-process calls share them.
-_PARSERS: tuple[argparse.ArgumentParser, dict] | None = None
+@functools.lru_cache(maxsize=None)
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser and its leaves, built on first use; parsing never
+    mutates a parser, so repeat in-process calls share them."""
+    leaves: dict = {}
+    return build_parser(leaves), leaves
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -423,11 +413,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     parser; anything else (a top-level flag, a typo, an argument the leaf
     does not know) runs the full parser, whose messages are its own.
     """
-    global _PARSERS
-    if _PARSERS is None:
-        leaves: dict = {}
-        _PARSERS = build_parser(leaves), leaves
-    parser, leaves = _PARSERS
+    parser, leaves = _parsers()
     found = leaves.get(tuple(argv[:2])) or leaves.get(tuple(argv[:1]))
     if found is not None:
         leaf, dests = found  # one dest a level, so one path token each

@@ -63,7 +63,7 @@ class PairLaw:
         if self.method not in (M1, M2):
             raise DomainError(f"unknown method {self.method!r}")
         total = math.fsum(self.probs)
-        if abs(total - 1.0) > LAW_SUM_TOL or min(self.probs) < 0.0:
+        if not (abs(total - 1.0) <= LAW_SUM_TOL and min(self.probs) >= 0.0):
             raise InternalFault(
                 f"law entries sum to {total!r}; derivation bug")
 
@@ -284,7 +284,8 @@ def _chain_law(sides: Sequence[np.ndarray]) -> np.ndarray:
     denominator taken as (p-mass off the left-seen set) + alpha (q-mass
     off the right-seen set): nonnegative terms, so full relative precision
     however close alpha beta comes to one, and positive, as some color has
-    mass on both sides.  Levels, counts of seen colors, are swept in order
+    mass on both sides, though a subnormal one can overflow u, which
+    shoes_m2_exact traps.  Levels, counts of seen colors, are swept in order
     over the reachable states with inflow (all of them on a source with no
     zero entry); the zero flow to an unreachable state lands in a spare
     bin.  Exponential in m by design: it shares no code with the Poisson

@@ -19,9 +19,11 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .dist_core import Distribution, RngSeed
 from .errors import (DomainError, ExcessTruncation, IndexMismatch, InvalidPair,
-                     NTooSmall, TooManyColors)
+                     NTooSmall, ToleranceNotMet, TooManyColors)
 from .pair_laws import (M1, M2, PairLaw, SimReport, _chain_law, _simulate,
                         _walk_plan, tvd)
 
@@ -82,11 +84,16 @@ def shoes_m2_exact(sp: ShoePair) -> PairLaw:
     seen, right seen) set pairs a walk reaches, hence the cap."""
     if len(sp) > SHOES_EXACT_MAX_COLORS:
         raise TooManyColors(f"exact solve capped at {SHOES_EXACT_MAX_COLORS} colors")
-    return PairLaw(M2, tuple(_chain_law([sp.left.as_array(),
-                                         sp.right.as_array()]).tolist()))
+    try:  # a subnormal turn-cycle gap overflows the cycle's occupations
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            law = _chain_law([sp.left.as_array(), sp.right.as_array()])
+    except FloatingPointError:
+        raise ToleranceNotMet("the exact solve's turn cycle passes the "
+                              "float range") from None
+    return PairLaw(M2, tuple(law.tolist()))
 
 
-def _walk_horizon(sp: ShoePair, trials: int) -> int:
+def _walk_horizon(sp: ShoePair, trials: int) -> int | float:
     """The step horizon of sp's walks: a step cap with per-walk survival
     below HORIZON_SURVIVAL, by union bound.
 
@@ -96,11 +103,13 @@ def _walk_horizon(sp: ShoePair, trials: int) -> int:
     within 2k steps each side gets k draws, so P(still running) is at most
     2 (1 - s)^k.  A scale like 1 / f_2 alone would miss the coupon-wait of
     pairs whose heavy colors sit on opposite sides.  A horizon past
-    MAX_HORIZON raises ExcessTruncation, unless trials is below one, which
-    _simulate refuses first, as for every simulation.
+    MAX_HORIZON, an infinite one for a subnormal s among them, raises
+    ExcessTruncation, unless trials is below one, which _simulate refuses
+    first, as for every simulation.
     """
     s = max(min(p, q) for p, q in zip(sp.left.probs, sp.right.probs))
-    horizon = 2 * math.ceil(math.log(2.0 / HORIZON_SURVIVAL) / s) + 2
+    steps = math.log(2.0 / HORIZON_SURVIVAL) / s
+    horizon = 2 * math.ceil(steps) + 2 if steps < math.inf else steps
     if horizon > MAX_HORIZON and trials >= 1:
         raise ExcessTruncation(f"default horizon of {horizon} steps "
                                f"is past the {MAX_HORIZON}-step cap")

@@ -1,7 +1,6 @@
 """Command line: envelope shape, formats, exit codes, determinism."""
 
 import contextlib
-import dataclasses
 import inspect
 import io
 import json
@@ -98,7 +97,8 @@ def test_internal_fault_exits_5(capsys, monkeypatch):
 
 #: Runs each (argv, environment) case through cli.main and prints one JSON
 #: line [argv, exit code, stdout] per case.  The address-space cap turns a
-#: runaway allocation into a MemoryError instead of a drain on the host.
+#: runaway allocation into a MemoryError instead of a drain on the host,
+#: and a numpy RuntimeWarning is raised, so it ends the child.
 _BAD_INPUT_CHILD = """
 import contextlib, io, json, os, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -120,7 +120,8 @@ def _run_bounded(cases):
     src = os.path.dirname(os.path.dirname(pairlaw.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-c", _BAD_INPUT_CHILD, json.dumps(cases)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c",
+         _BAD_INPUT_CHILD, json.dumps(cases)],
         capture_output=True, text=True, timeout=60, env=env)
     results = [json.loads(line) for line in proc.stdout.splitlines()]
     assert len(results) == len(cases), proc.stderr
@@ -188,8 +189,22 @@ def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
         (["shoes", "derive", "--left", "1e308,1e308", "--right", "0.5,0.5"],
          {}),
     ]
-    for argv, code, out in _run_bounded(cases):
-        assert (code, out) == (2, ""), argv
+    # subnormal shared masses: the exact turn cycle's gap overflowed its
+    # occupations into NaN laws with exit 0, and the simulated horizon
+    # into math.ceil(inf), a traceback and exit 1; trials still come first
+    zeros = ",0" * 9
+    subnormal = [
+        (["shoes", "derive", "--left", "1e-320,1", "--right", "1,1e-320"], 3),
+        (["shoes", "derive", "--left", "1e-320,1", "--right", "1,0"], 3),
+        (["shoes", "derive", "--left", "1e-320,1" + zeros,
+          "--right", "1,1e-320" + zeros, "--trials", "10"], 4),
+        (["shoes", "derive", "--left", "1e-320,1" + zeros,
+          "--right", "1,1e-320" + zeros, "--trials", "0"], 2),
+    ]
+    want = [2] * len(cases) + [code for _, code in subnormal]
+    cases += [(argv, {}) for argv, _ in subnormal]
+    for (argv, code, out), expected in zip(_run_bounded(cases), want):
+        assert (code, out) == (expected, ""), argv
 
 
 def test_infeasible_simulation_exits_4_in_bounded_time():
@@ -266,18 +281,23 @@ def _fuzz_argvs(seed: int, count: int) -> list[list[str]]:
 
 def test_cli_fuzz_exits_with_a_documented_code_in_bounded_time():
     # exit 5 would be a bug and a traceback or a hang fails the child; an
-    # accepted JSON request must print the standard library's layout
+    # accepted request prints no NaN or infinity, and an accepted JSON
+    # request the standard library's layout
     cases = [(argv, {}) for argv in _fuzz_argvs(1212, 60)]
     for argv, code, out in _run_bounded(cases):
         assert code in (0, 2, 3, 4), argv
+        if code == 0:
+            tokens = set(out.replace(",", " ").split())
+            assert not tokens & {"nan", "inf", "-inf", "NaN", "Infinity",
+                                 "-Infinity"}, argv
         if code == 0 and argv[-1] == "json":
             assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 def _reference_json(envelope) -> str:
-    """The layout render must reproduce: a deep copy through asdict and
-    the standard library's indenting encoder."""
-    return json.dumps(dataclasses.asdict(envelope), indent=2) + "\n"
+    """The layout render must reproduce: the standard library's indenting
+    encoder."""
+    return json.dumps(envelope, indent=2) + "\n"
 
 
 #: One quick request of every subcommand and mode.
@@ -373,7 +393,7 @@ def test_render_matches_the_standard_encoder_byte_for_byte(monkeypatch):
     monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
     monkeypatch.setattr(json, "dumps", dumps)
     for envelope, text in zip(envelopes, want):
-        assert cli.render(envelope, "json") == text, envelope.command
+        assert cli.render(envelope, "json") == text, envelope["command"]
 
 
 def test_json_envelope_and_csv_agree_byte_for_byte(capsys):
@@ -831,7 +851,7 @@ def test_leaf_parsing_matches_the_full_parser_byte_for_byte(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a well-formed argv ran the full parser")
 
-    full, _ = cli._PARSERS
+    full, _ = cli._parsers()
     monkeypatch.setattr(full, "parse_args", refuse)
     for argv in well_formed:
         cli._parse(argv)

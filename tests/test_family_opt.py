@@ -467,13 +467,29 @@ def test_argmax_is_pinned_to_the_bit():
         assert family_argmax(n) == pinned
 
 
-def test_kernel_rejects_points_outside_the_family():
-    # n = -2 puts 1/(n+1) at -1, so only the tail-count check catches it
-    for n, x in ((0, [0.5]), (-2, [0.5]), (3, [0.2499]), (3, [1.0]),
-                 (3, [float("nan")]), ([2, 0], [0.5, 0.5]),
-                 ([2, 3], [0.5, 0.2])):
+def test_kernel_is_given_only_points_of_the_family(monkeypatch):
+    # the kernel checks no domain: FamilyPoint owns it, and the two
+    # callers check n and build only points in [1/(n+1), 1)
+    given = []
+
+    def kernel(n, x):
+        given.append(np.broadcast_arrays(np.asarray(n, dtype=float),
+                                         np.asarray(x, dtype=float)))
+        return _family_rows(n, x)
+
+    monkeypatch.setattr(family_opt, "_family_rows", kernel)
+    for n in (1, 2, 9, 1000):
+        family_argmax(n)
+    figure_family_curves(40, 9)
+    figure_family_curves(3, 2)
+    assert len(given) == 6
+    for n, x in given:
+        assert (n >= 1).all() and ((1.0 / (n + 1.0) <= x) & (x < 1.0)).all()
+    for bad in (0, -2):
         with pytest.raises(DomainError):
-            _family_rows(np.array(n), np.array(x))
+            family_argmax(bad)
+        with pytest.raises(DomainError):
+            figure_family_curves(bad, 9)
     # the uniform end itself is inside, and exactly zero
     ends = _family_rows(np.array([1, 3]), np.array([0.5, 0.25]))
     assert ends.tolist() == [0.0, 0.0]

@@ -61,6 +61,11 @@ def test_pair_law_rejects_garbage():
     # entries that do not sum to one come from a derivation, not the user
     with pytest.raises(InternalFault):
         PairLaw("m1", (0.7, 0.7))
+    # NaN fails every comparison, so a test of the bad case let it through
+    nan = float("nan")
+    for probs in ((nan, nan), (nan, 1.0), (1.0, nan), (0.5, nan, 0.5)):
+        with pytest.raises(InternalFault):
+            PairLaw("m2", probs)
 
 
 def test_discrepancy_examples():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from pairlaw import (DomainError, ExcessTruncation, IndexMismatch,
-                     InvalidPair, NTooSmall, RngSeed, ShoePair, TooManyColors,
+                     InvalidPair, NTooSmall, RngSeed, ShoePair,
+                     ToleranceNotMet, TooManyColors,
                      m2_simulate, shoes_discrepancy, shoes_m1, shoes_m2_exact,
                      shoes_m2_simulate, shoes_match_probability, sup_one_demo,
                      tvd, validate, witness_family)
@@ -93,6 +94,20 @@ def test_exact_chain_survives_a_vanishing_match_probability():
     assert abs(got[0] - 1.0) <= 1e-15 and got[1] == 0.0
 
 
+def test_exact_chain_refuses_a_subnormal_turn_cycle():
+    # the cycle's gap is about 1e-320, so its occupations overflowed into
+    # NaN laws; a gap of 2e-155 still answers, with no floating-point trap
+    for sp in (ShoePair(validate([1e-320, 1.0]), validate([1.0, 1e-320])),
+               ShoePair(validate([1e-320, 1.0]), validate([1.0, 0.0]))):
+        with pytest.raises(ToleranceNotMet):
+            shoes_m2_exact(sp)
+        with pytest.raises(ToleranceNotMet):
+            shoes_discrepancy(sp)
+    small = ShoePair(validate([1e-155, 1.0 - 1e-155, 0.0]),
+                     validate([1e-155, 0.0, 1.0 - 1e-155]))
+    assert shoes_m2_exact(small).probs == (1.0, 0.0, 0.0)
+
+
 def test_exact_chain_near_one_alpha_beta_matches_a_rational_solve():
     # exact rational solve of the chain in which each side repeats with
     # probability one minus its unseen mass
@@ -161,6 +176,12 @@ def test_infeasible_default_horizon_is_refused_before_any_draw(monkeypatch):
     b = 1e7 ** (-2.0 / 3.0)
     near = ShoePair(validate([1.0, 0.0]), validate([b, 1.0 - b]))
     assert _walk_horizon(near, 1) == 2_629_386 <= MAX_HORIZON
+    # a subnormal shared mass makes the horizon infinite: refused, not an
+    # OverflowError, unless there are no trials, which _simulate refuses
+    sub = ShoePair(validate([1e-320, 1.0]), validate([1.0, 1e-320]))
+    with pytest.raises(ExcessTruncation):
+        shoes_m2_simulate(sub, 100, RngSeed(1))
+    assert _walk_horizon(sub, 0) == math.inf
 
 
 def test_simulation_determinism_and_thread_invariance():
