@@ -299,26 +299,19 @@ def cmd_shoes_sup_demo(args: argparse.Namespace) -> dict:
                      ["n", "value", "error"], rows, seed=args.seed)
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-
-def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: PAIRLAW_THREADS or all CPUs)")
-
-
 def build_parser(leaves: dict | None = None) -> argparse.ArgumentParser:
     """The full parser.  leaves, when given, gets each leaf's subcommand
-    path, such as ("shoes", "derive"), mapped to the leaf's own parser and
-    the dests that the levels above it set."""
+    path, such as ("shoes", "derive"), mapped to the leaf's own parser,
+    whose defaults hold its handler and the dests that the levels above
+    it set, so that it parses to the full parser's namespace."""
     leaves = {} if leaves is None else leaves
 
-    def leaf(group, name: str, summary: str,
+    def leaf(group, name: str, summary: str, handler,
              **above) -> argparse.ArgumentParser:
         dests = {**above, group.dest: name}
         p = group.add_parser(name, help=summary)
-        leaves[tuple(dests.values())] = p, dests
+        p.set_defaults(handler=handler, **dests)
+        leaves[tuple(dests.values())] = p
         return p
 
     parser = argparse.ArgumentParser(
@@ -328,22 +321,19 @@ def build_parser(leaves: dict | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = leaf(sub, "derive", "both pair laws of one distribution")
+    p = leaf(sub, "derive", "both pair laws of one distribution", cmd_derive)
     p.add_argument("--dist", help="comma-separated probabilities")
     p.add_argument("--dist-file", help="file with one probability per line")
     p.add_argument("--method", choices=["m1", "m2", "both"], default="both")
-    _add_format(p)
-    p.set_defaults(handler=cmd_derive)
 
-    p = leaf(sub, "family", "one-heavy-color family extremum or curve")
+    p = leaf(sub, "family", "one-heavy-color family extremum or curve",
+             cmd_family)
     p.add_argument("--n", type=int, required=True, help="tail color count")
     p.add_argument("--action", choices=["max", "curve"], default="max")
     p.add_argument("--samples", type=int, default=129,
                    help="samples per curve (curve action)")
-    _add_format(p)
-    p.set_defaults(handler=cmd_family)
 
-    p = leaf(sub, "limit", "limit curves and their constants")
+    p = leaf(sub, "limit", "limit curves and their constants", cmd_limit)
     p.add_argument("--kind", choices=["socks", "shoes-diag", "shoes-grid"],
                    required=True)
     p.add_argument("--argmax", action="store_true", help="locate the maximum")
@@ -354,22 +344,17 @@ def build_parser(leaves: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, default=10.0, help="curve end")
     p.add_argument("--points", type=int, default=64, help="curve samples")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    _add_format(p)
-    p.set_defaults(handler=cmd_limit)
 
-    p = leaf(sub, "search", "random search over the sorted simplex")
+    p = leaf(sub, "search", "random search over the sorted simplex",
+             cmd_search)
     p.add_argument("--m", type=int, required=True, help="color count")
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_threads(p)
-    _add_format(p)
-    p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser("shoes", help="alternating left/right collection")
     shoes_sub = p.add_subparsers(dest="shoes_command", required=True)
 
     q = leaf(shoes_sub, "derive", "laws and discrepancy of a pair",
-             command="shoes")
+             cmd_shoes_derive, command="shoes")
     q.add_argument("--left", help="comma-separated left probabilities")
     q.add_argument("--left-file")
     q.add_argument("--right", help="comma-separated right probabilities")
@@ -377,20 +362,19 @@ def build_parser(leaves: dict | None = None) -> argparse.ArgumentParser:
     q.add_argument("--exact", action="store_true",
                    help="require the exact solve (fails above its size cap)")
     q.add_argument("--trials", type=int, default=1_000_000)
-    q.add_argument("--seed", type=int, default=0)
-    _add_threads(q)
-    _add_format(q)
-    q.set_defaults(handler=cmd_shoes_derive)
 
     q = leaf(shoes_sub, "sup-demo", "witness-family discrepancy ladder",
-             command="shoes")
+             cmd_shoes_sup_demo, command="shoes")
     q.add_argument("--n", required=True, help="comma-separated family sizes")
     q.add_argument("--trials", type=int, default=1_000_000)
-    q.add_argument("--seed", type=int, default=0)
-    _add_threads(q)
-    _add_format(q)
-    q.set_defaults(handler=cmd_shoes_sup_demo)
 
+    # the flags every seeded leaf, then every leaf, ends with
+    for path, p in leaves.items():
+        if path in {("search",), ("shoes", "derive"), ("shoes", "sup-demo")}:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--threads", type=int, default=None, help=(
+                "worker threads (default: PAIRLAW_THREADS or all CPUs)"))
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
 
 
@@ -407,19 +391,17 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
     Above a leaf each level only picks the next one, yet re-scans every
     token, so a request that starts with a leaf's path, and that the leaf
-    parses with nothing left over, is parsed by the leaf alone, with the
-    dests of the levels above set as they would set them.  The leaf
-    reports its own errors and help exactly as it does under the full
-    parser; anything else (a top-level flag, a typo, an argument the leaf
-    does not know) runs the full parser, whose messages are its own.
+    parses with nothing left over, is parsed by the leaf alone, whose
+    defaults set the dests of the levels above.  The leaf reports its own
+    errors and help exactly as it does under the full parser; anything
+    else (a top-level flag, a typo, an argument the leaf does not know)
+    runs the full parser, whose messages are its own.
     """
     parser, leaves = _parsers()
-    found = leaves.get(tuple(argv[:2])) or leaves.get(tuple(argv[:1]))
-    if found is not None:
-        leaf, dests = found  # one dest a level, so one path token each
-        args, rest = leaf.parse_known_args(argv[len(dests):])
+    path = tuple(argv[:2]) if tuple(argv[:2]) in leaves else tuple(argv[:1])
+    if path in leaves:
+        args, rest = leaves[path].parse_known_args(argv[len(path):])
         if not rest:
-            vars(args).update(dests)
             return args
     return parser.parse_args(argv)
 

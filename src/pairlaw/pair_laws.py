@@ -62,7 +62,10 @@ class PairLaw:
     def __post_init__(self) -> None:
         if self.method not in (M1, M2):
             raise DomainError(f"unknown method {self.method!r}")
-        total = math.fsum(self.probs)
+        try:
+            total = math.fsum(self.probs)
+        except (OverflowError, ValueError):  # past the float range, inf - inf
+            total = math.nan
         if not (abs(total - 1.0) <= LAW_SUM_TOL and min(self.probs) >= 0.0):
             raise InternalFault(
                 f"law entries sum to {total!r}; derivation bug")

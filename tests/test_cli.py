@@ -158,8 +158,9 @@ def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
         # no trials on a pair past the horizon cap: the trials come first
         (["shoes", "derive", "--left", "1e-300,1" + ",0" * 9,
           "--right", "1,0" + ",0" * 9, "--trials", "0"], {}),
-        # 10^12 search points and walks, and 10^9 witness walks at 3,355 a
-        # block, past the block cap: refused before the plan is built
+        # 10^12 search points, past the search's cell cap, and 10^12 and
+        # 10^9 witness walks (3,355 a block at n = 10^4), past the block
+        # cap: refused before the plan is built
         (["search", "--m", "3", "--points", "1000000000000"], {}),
         (["shoes", "sup-demo", "--n", "16", "--trials", "1000000000000"], {}),
         (["shoes", "sup-demo", "--n", "10000", "--trials", "1000000000"], {}),
@@ -177,7 +178,8 @@ def test_bad_inputs_exit_2_in_bounded_time(tmp_path):
         # 8 points of 10^6 colors at 640 nodes, 5.1 * 10^9 cells, past the
         # search cap: one block, which ran 94 s
         (["search", "--m", "1000000", "--points", "8"], {}),
-        # a 1.6 GB row, wider than one block
+        # one point of 2 * 10^8 colors, 1.28 * 10^11 cells, past the
+        # search's cell cap (its 1.6 GB row never reaches the block plan)
         (["search", "--m", "200000000", "--points", "1"], {}),
         # past the family maximizer's cap: a scan still running after 20 s,
         # and a false competing mode
@@ -833,6 +835,8 @@ HAND_PICKED = [
      "2", "--format", "json"],
     ["shoes", "derive", "--left", "0.5,0.5", "--right", "0.5,0.5",
      "--exact", "--exact", "--format", "json"],
+    ["family", "-h"], ["limit", "-h"], ["search", "-h"],
+    ["shoes", "sup-demo", "-h"],
 ]
 
 
@@ -857,6 +861,51 @@ def test_leaf_parsing_matches_the_full_parser_byte_for_byte(monkeypatch):
         cli._parse(argv)
     with pytest.raises(AssertionError):
         cli._parse(["derive", "--dist", "1", "--bogus"])
+
+
+#: Each leaf's usage at 80 columns, flags in the order they are declared:
+#: the leaf's own, then --seed and --threads on a seeded leaf, then --format.
+LEAF_USAGES = {
+    ("derive",):
+        "usage: pairlaw derive [-h] [--dist DIST] [--dist-file DIST_FILE]\n"
+        "                      [--method {m1,m2,both}] [--format {csv,json}]\n",
+    ("family",):
+        "usage: pairlaw family [-h] --n N [--action {max,curve}] "
+        "[--samples SAMPLES]\n"
+        "                      [--format {csv,json}]\n",
+    ("limit",):
+        "usage: pairlaw limit [-h] --kind {socks,shoes-diag,shoes-grid} "
+        "[--argmax]\n"
+        "                     [--c C] [--a A] [--b B] [--lo LO] [--hi HI]\n"
+        "                     [--points POINTS] [--tol TOL] "
+        "[--format {csv,json}]\n",
+    ("search",):
+        "usage: pairlaw search [-h] --m M --points POINTS [--seed SEED]\n"
+        "                      [--threads THREADS] [--format {csv,json}]\n",
+    ("shoes", "derive"):
+        "usage: pairlaw shoes derive [-h] [--left LEFT] "
+        "[--left-file LEFT_FILE]\n"
+        "                            [--right RIGHT] "
+        "[--right-file RIGHT_FILE]\n"
+        "                            [--exact] [--trials TRIALS] "
+        "[--seed SEED]\n"
+        "                            [--threads THREADS] "
+        "[--format {csv,json}]\n",
+    ("shoes", "sup-demo"):
+        "usage: pairlaw shoes sup-demo [-h] --n N [--trials TRIALS] "
+        "[--seed SEED]\n"
+        "                              [--threads THREADS] "
+        "[--format {csv,json}]\n",
+}
+
+
+def test_leaf_usages_keep_their_flag_order(monkeypatch):
+    # argparse wraps usage at the terminal width, read when it formats
+    monkeypatch.setenv("COLUMNS", "80")
+    leaves = {}
+    cli.build_parser(leaves)
+    usages = {path: leaf.format_usage() for path, leaf in leaves.items()}
+    assert usages == LEAF_USAGES
 
 
 def test_main_reads_sys_argv_without_an_argv(capsys, monkeypatch):

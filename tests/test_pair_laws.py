@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pairlaw import (DomainError, DrawStats, InternalFault, PairLaw, RngSeed,
-                     SimReport, TooManyColors, derive_m1, derive_m2,
-                     discrepancy, draw_stats, m2_oracle_exact, m2_simulate,
+from pairlaw import (DomainError, DrawStats, IndexMismatch, InternalFault,
+                     PairLaw, RngSeed, SimReport, ToleranceNotMet,
+                     TooManyColors, derive_m1, derive_m2, discrepancy,
+                     draw_stats, m2_oracle_exact, m2_simulate,
                      match_probability, tvd, validate)
 from pairlaw import pair_laws
 from pairlaw.family_opt import FamilyPoint, family_discrepancy
@@ -61,9 +62,11 @@ def test_pair_law_rejects_garbage():
     # entries that do not sum to one come from a derivation, not the user
     with pytest.raises(InternalFault):
         PairLaw("m1", (0.7, 0.7))
-    # NaN fails every comparison, so a test of the bad case let it through
-    nan = float("nan")
-    for probs in ((nan, nan), (nan, 1.0), (1.0, nan), (0.5, nan, 0.5)):
+    # NaN fails every comparison, so a test of the bad case let it through;
+    # inf - inf and a partial sum past the float range make fsum raise
+    nan, inf = float("nan"), float("inf")
+    for probs in ((nan, nan), (nan, 1.0), (1.0, nan), (0.5, nan, 0.5),
+                  (inf, -inf), (1e308, 1e308, -1e308)):
         with pytest.raises(InternalFault):
             PairLaw("m2", probs)
 
@@ -80,6 +83,12 @@ def test_tvd_forms_and_inputs():
     assert abs(tvd([0.9, 0.1], (0.84375, 0.15625)) - 0.05625) < 1e-15
     assert tvd([0.5, 0.5], [0.5, 0.5]) == 0.0
     assert abs(tvd([1.0, 0.0], [0.0, 1.0]) - 1.0) < 1e-15
+    # laws over different color counts, and an unnormalized law, whose
+    # three forms read 0.05, 0.0 and 0.1
+    with pytest.raises(IndexMismatch):
+        tvd([0.5, 0.5], [1.0])
+    with pytest.raises(ToleranceNotMet):
+        tvd([0.5, 0.5], [0.6, 0.5])
 
 
 def test_tvd_fuzz_is_a_metric_bounded_by_one():
